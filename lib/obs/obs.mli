@@ -38,8 +38,8 @@ val env_int : ?min:int -> ?max:int -> default:int -> string -> int
     value outside [[min] .. [max]] (default [min] 1, so zero and
     negatives are rejected; no upper bound unless given) prints a
     clear one-line complaint to stderr and yields [default]. The one
-    shared parser behind [DSVC_FLIGHT_SAMPLE], [DSVC_TRACE_RING],
-    [DSVC_MAX_CONNS] and [DSVC_SERVER_WORKERS]. *)
+    shared parser behind [DSVC_FLIGHT_SAMPLE], [DSVC_TRACE_RING] and
+    [DSVC_MAX_CONNS]. *)
 
 val env_float : ?min:float -> ?max:float -> default:float -> string -> float
 (** [env_float name ~default] — the float/duration sibling of

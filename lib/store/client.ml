@@ -93,6 +93,11 @@ let percent_encode s =
     s;
   Buffer.contents buf
 
+(* A request path from its segments, each escaped: a ref name may
+   carry '/', '?', '#' or '%'. *)
+let path_of segments =
+  String.concat "" (List.map (fun s -> "/" ^ percent_encode s) segments)
+
 let record_conn mode =
   Metrics.counter "dsvc_client_connections_total"
     ~labels:[ ("mode", mode) ]
@@ -397,7 +402,8 @@ let versions t =
              | _ -> None))
     (expect_ok t ~meth:"GET" ~path:"/versions" ())
 
-let checkout t name = expect_ok t ~meth:"GET" ~path:("/checkout/" ^ name) ()
+let checkout t name =
+  expect_ok t ~meth:"GET" ~path:(path_of [ "checkout"; name ]) ()
 
 let commit t ?(message = "") ?parents content =
   let query =
@@ -430,20 +436,20 @@ let optimize t strategy =
        ~query:[ ("strategy", strategy) ]
        ())
 
-let diff t a b = expect_ok t ~meth:"GET" ~path:("/diff/" ^ a ^ "/" ^ b) ()
+let diff t a b = expect_ok t ~meth:"GET" ~path:(path_of [ "diff"; a; b ]) ()
 
 let unit_post t path query =
   Result.map (fun _ -> ()) (expect_ok t ~meth:"POST" ~path ~query ())
 
 let tag t name ?at () =
-  unit_post t ("/tag/" ^ name)
+  unit_post t (path_of [ "tag"; name ])
     (match at with Some v -> [ ("at", string_of_int v) ] | None -> [])
 
 let branch t name ?at () =
-  unit_post t ("/branch/" ^ name)
+  unit_post t (path_of [ "branch"; name ])
     (match at with Some v -> [ ("at", string_of_int v) ] | None -> [])
 
-let switch t name = unit_post t ("/switch/" ^ name) []
+let switch t name = unit_post t (path_of [ "switch"; name ]) []
 
 let verify t =
   Result.map (fun _ -> ()) (expect_ok t ~meth:"GET" ~path:"/verify" ())
@@ -463,20 +469,24 @@ let ping t =
   | Ok (s, body) -> Error (Printf.sprintf "health %d: %s" s (String.trim body))
   | Error _ as e -> e
 
-let get_blob t digest = expect_ok t ~meth:"GET" ~path:("/blob/" ^ digest) ()
+let get_blob t digest =
+  expect_ok t ~meth:"GET" ~path:(path_of [ "blob"; digest ]) ()
 
 let put_blob t ~digest content =
   Result.map
     (fun _ -> ())
-    (expect_ok t ~meth:"POST" ~path:("/blob/" ^ digest) ~body:content ())
+    (expect_ok t ~meth:"POST"
+       ~path:(path_of [ "blob"; digest ])
+       ~body:content ())
 
 let mem_blob t digest =
-  match request t ~meth:"GET" ~path:("/blob/" ^ digest ^ "/stat") () with
+  let path = path_of [ "blob"; digest; "stat" ] in
+  match request t ~meth:"GET" ~path () with
   | Ok (200, _) -> true
   | Ok _ | Error _ -> false
 
 let delete_blob t digest =
-  ignore (request t ~meth:"DELETE" ~path:("/blob/" ^ digest) ())
+  ignore (request t ~meth:"DELETE" ~path:(path_of [ "blob"; digest ]) ())
 
 let list_blobs t =
   match expect_ok t ~meth:"GET" ~path:"/blobs" () with
@@ -490,7 +500,9 @@ let list_blobs t =
              | _ -> None)
 
 let quarantine_blob t digest =
-  expect_ok t ~meth:"POST" ~path:("/blob/" ^ digest ^ "/quarantine") ()
+  expect_ok t ~meth:"POST"
+    ~path:(path_of [ "blob"; digest; "quarantine" ])
+    ()
 
 let anti_entropy t =
   Result.map kv_body (expect_ok t ~meth:"POST" ~path:"/anti-entropy" ())

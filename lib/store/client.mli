@@ -106,7 +106,8 @@ val request :
   ?body:string ->
   unit ->
   (int * string, string) result
-(** Raw escape hatch: returns [(status, body)]. *)
+(** Raw escape hatch: returns [(status, body)]. [path] goes on the
+    wire as written, so its segments must already be percent-encoded. *)
 
 (** {2 Cluster support} *)
 

@@ -343,7 +343,7 @@ module Parser = struct
                     Ok
                       {
                         p_meth = meth;
-                        p_path = percent_decode path;
+                        p_path = path;
                         p_query = query;
                         p_headers = hs;
                         p_version = version;
@@ -431,7 +431,7 @@ let read_request ?(max_body = 64 * 1024 * 1024) ic =
         try Ok (really_input_string ic len)
         with End_of_file -> Error "truncated body")
   in
-  Ok { meth; path = percent_decode path; query; headers; body; version }
+  Ok { meth; path; query; headers; body; version }
 
 (* A header value must not smuggle CR/LF into the response framing,
    whatever the handler put in it. *)

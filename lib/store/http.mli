@@ -10,7 +10,9 @@
 
 type request = {
   meth : string;  (** "GET", "POST", … (upper-cased) *)
-  path : string;  (** decoded path without the query string *)
+  path : string;
+      (** path without the query string, still percent-encoded: a
+          router splits it on [/] before decoding each segment *)
   query : (string * string) list;  (** decoded query parameters *)
   headers : (string * string) list;  (** lower-cased names *)
   body : string;

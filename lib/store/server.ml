@@ -31,43 +31,6 @@ let parse_strategy s =
         "expected min-storage | min-recreation | balanced=F | bounded-max=F \
          | git | svn"
 
-let segments path =
-  String.split_on_char '/' path |> List.filter (fun s -> s <> "")
-
-(* Stable route template per request, so metric label cardinality is
-   bounded no matter what paths clients send. *)
-let route_label meth path =
-  match (meth, segments path) with
-  | "GET", [ "versions" ] -> "/versions"
-  | "GET", [ "checkout"; _ ] -> "/checkout/:name"
-  | "POST", [ "commit" ] -> "/commit"
-  | "GET", [ "stats" ] -> "/stats"
-  | "GET", [ "branches" ] -> "/branches"
-  | "POST", [ "branch"; _ ] -> "/branch/:name"
-  | "POST", [ "switch"; _ ] -> "/switch/:name"
-  | "GET", [ "tags" ] -> "/tags"
-  | "POST", [ "tag"; _ ] -> "/tag/:name"
-  | "GET", [ "diff"; _; _ ] -> "/diff/:a/:b"
-  | "POST", [ "optimize" ] -> "/optimize"
-  | "GET", [ "verify" ] -> "/verify"
-  | "GET", [ "metrics" ] -> "/metrics"
-  | "GET", [ "metrics"; "cluster" ] -> "/metrics/cluster"
-  | "GET", [ "timeseries" ] -> "/timeseries"
-  | "GET", [ "alerts" ] -> "/alerts"
-  | "GET", [ "trace"; _ ] -> "/trace/:request_id"
-  | "GET", [ "flight" ] -> "/flight"
-  | "GET", [ "health" ] -> "/health"
-  | "GET", [ "blob"; _ ] -> "/blob/:digest"
-  | "GET", [ "blob"; _; "stat" ] -> "/blob/:digest/stat"
-  | "POST", [ "blob"; _ ] -> "/blob/:digest"
-  | "POST", [ "blob"; _; "quarantine" ] -> "/blob/:digest/quarantine"
-  | "DELETE", [ "blob"; _ ] -> "/blob/:digest"
-  | "GET", [ "blobs" ] -> "/blobs"
-  | "GET", [ "meta" ] -> "/meta"
-  | "POST", [ "meta"; "sync" ] -> "/meta/sync"
-  | "POST", [ "anti-entropy" ] -> "/anti-entropy"
-  | _, _ -> "other"
-
 let stats_body (s : Repo.stats) =
   Printf.sprintf
     "versions %d\nstorage_bytes %d\nmaterialized %d\ndelta_stored %d\n\
@@ -173,26 +136,6 @@ type cluster = {
   peer_clients : (string * Client.t) list;
 }
 
-(* Routes whose success changes repository metadata — each one is
-   followed by a generation-stamped push to the usable peers. *)
-let mutating_route = function
-  | "/commit" | "/branch/:name" | "/switch/:name" | "/tag/:name"
-  | "/optimize" ->
-      true
-  | _ -> false
-
-(* Routes served without the repo lock when [workers > 1]: pure
-   observability reads with their own internal synchronization.
-   /metrics/cluster belongs here because its peer fan-out can stall on
-   a dead peer for the full client timeout — which is why it reads
-   only the (mutex-guarded) metrics registry, never the repo: the
-   telemetry gauges it serves are refreshed by [handle_safe] under the
-   repo lock after each repo-touching request. *)
-let lock_free_route = function
-  | "/metrics" | "/metrics/cluster" | "/flight" | "/trace/:request_id"
-  | "/timeseries" | "/alerts" ->
-      true
-  | _ -> false
 
 let push_meta_to_peers cluster repo =
   match Repo.export_meta repo with
@@ -346,234 +289,232 @@ let metrics_json_with_meta () =
     (Metrics.json_escape Build_info.ocaml_version)
     (Build_info.uptime ()) tail
 
-let handle ?cluster repo (req : Http.request) =
-  let local_store =
+(* ---- the route table ----
+
+   Every route is one entry, and every routing decision reads the entry
+   a request matched: the metric and access-log label is its template,
+   [Obs] routes skip the repo lock (they read only their own
+   internally synchronized state), and a 2xx from a [Write] route is
+   pushed to the peers. *)
+
+type access = Read | Write | Obs
+
+type env = { repo : Repo.t; cluster : cluster option; req : Http.request }
+
+type route = {
+  meth : string;
+  template : string;
+  access : access;
+  run : env -> (string -> string) -> Http.response;
+      (* applied to a lookup of the template's [:captures] by name *)
+}
+
+let route meth template access run = { meth; template; access; run }
+
+let param e key = List.assoc_opt key e.req.Http.query
+
+let local_store e =
+  match e.cluster with
+  | Some c -> c.local_store
+  | None -> Repo.object_store e.repo
+
+let resolve e name =
+  match Repo.resolve e.repo name with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "cannot resolve %S" name)
+
+let created body = { (Http.ok body) with Http.status = 201 }
+
+let of_result = function
+  | Ok body -> Http.ok body
+  | Error e -> Http.error (status_of_error e) (e ^ "\n")
+
+let unit_result r = of_result (Result.map (fun () -> "ok\n") r)
+
+let at e = Option.bind (param e "at") int_of_string_opt
+
+let with_digest arg k =
+  let d = arg "digest" in
+  if Content_hash.is_valid d then k d
+  else Http.error 400 (Printf.sprintf "invalid digest %S\n" d)
+
+let prometheus body =
+  Http.ok ~content_type:"text/plain; version=0.0.4; charset=utf-8" body
+
+(* Cluster-wide scrape: this node's registry plus a live fan-out to
+   every peer's GET /metrics, each sample tagged with its origin peer.
+   A peer that cannot be reached contributes a dsvc_cluster_scrape_up 0
+   gauge and an annotation line rather than failing the whole scrape —
+   partial results beat none. *)
+let cluster_scrape cluster =
+  let self_name =
     match cluster with
-    | Some c -> c.local_store
-    | None -> Repo.object_store repo
+    | Some c -> Replicated.self c.replicated
+    | None -> "self"
   in
-  let valid_digest d k =
-    if Content_hash.is_valid d then k ()
-    else Http.error 400 (Printf.sprintf "invalid digest %S\n" d)
+  let b = Buffer.create 8192 in
+  Buffer.add_string b
+    "# Cluster-wide scrape: every sample carries a peer label naming its \
+     origin node.\n";
+  let add_up peer ok =
+    Buffer.add_string b
+      (Printf.sprintf "dsvc_cluster_scrape_up{peer=\"%s\"} %d\n"
+         (Metrics.escape_label peer)
+         (if ok then 1 else 0))
   in
-  let resolve name =
-    match Repo.resolve repo name with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "cannot resolve %S" name)
-  in
-  let of_result ?(created = false) = function
-    | Ok body ->
-        if created then
-          {
-            Http.status = 201;
-            content_type = "text/plain; charset=utf-8";
-            headers = [];
-            body;
-            stream = None;
-          }
-        else Http.ok body
-    | Error e -> Http.error (status_of_error e) (e ^ "\n")
-  in
-  match (req.Http.meth, segments req.Http.path) with
-  | "GET", [ "versions" ] ->
-      let lines =
-        Repo.log repo
-        |> List.map (fun (c : Repo.commit_info) ->
-               Printf.sprintf "%d %s %s" c.id
-                 (match c.parents with
-                 | [] -> "-"
-                 | ps -> String.concat "," (List.map string_of_int ps))
-                 c.message)
-      in
-      Http.ok (String.concat "\n" lines ^ "\n")
-  | "GET", [ "checkout"; name ] -> (
-      match Result.bind (resolve name) (Repo.checkout repo) with
-      | Ok content -> Http.ok ~content_type:"application/octet-stream" content
-      | Error e -> Http.error 404 (e ^ "\n"))
-  | "POST", [ "commit" ] -> (
-      let message =
-        Option.value (List.assoc_opt "message" req.Http.query) ~default:""
-      in
-      let parents =
-        match List.assoc_opt "parents" req.Http.query with
-        | None | Some "" -> Ok None
-        | Some ps -> (
-            let ids = String.split_on_char ',' ps |> List.map int_of_string_opt in
-            if List.for_all Option.is_some ids then
-              Ok (Some (List.map Option.get ids))
-            else Error "bad parents list")
-      in
-      match parents with
-      | Error e -> Http.error 400 (e ^ "\n")
-      | Ok parents ->
-          of_result ~created:true
-            (Result.map string_of_int
-               (Repo.commit repo ~message ?parents req.Http.body)))
-  | "GET", [ "stats" ] ->
-      (* Stats already walks every stored object; refreshing the drift
-         score here (same walk) is where the telemetry drift gauge
-         gets its value — the per-request gauge refresh in
-         [handle_safe] is memory-only. *)
-      if Obs.enabled () then ignore (Repo.drift_score repo);
-      Http.ok (stats_body (Repo.stats repo))
-  | "GET", [ "branches" ] ->
-      Http.ok
-        (String.concat "\n"
-           (List.map
-              (fun (n, v) ->
-                Printf.sprintf "%s%s %d"
-                  (if n = Repo.current_branch repo then "*" else "")
-                  n v)
-              (Repo.branches repo))
-        ^ "\n")
-  | "POST", [ "branch"; name ] ->
-      let at =
-        Option.bind (List.assoc_opt "at" req.Http.query) int_of_string_opt
-      in
-      of_result
-        (Result.map (fun () -> "ok\n") (Repo.create_branch repo name ?at ()))
-  | "POST", [ "switch"; name ] ->
-      of_result (Result.map (fun () -> "ok\n") (Repo.switch repo name))
-  | "GET", [ "tags" ] ->
-      Http.ok
-        (String.concat "\n"
-           (List.map (fun (n, v) -> Printf.sprintf "%s %d" n v) (Repo.tags repo))
-        ^ "\n")
-  | "POST", [ "tag"; name ] ->
-      let at =
-        Option.bind (List.assoc_opt "at" req.Http.query) int_of_string_opt
-      in
-      of_result (Result.map (fun () -> "ok\n") (Repo.tag repo name ?at ()))
-  | "GET", [ "diff"; a; b ] -> (
-      match
-        Result.bind (resolve a) (fun va ->
-            Result.bind (resolve b) (fun vb -> Repo.diff repo va vb))
-      with
-      | Ok d -> Http.ok d
-      | Error e -> Http.error 404 (e ^ "\n"))
-  | "POST", [ "optimize" ] -> (
-      match List.assoc_opt "strategy" req.Http.query with
-      | None -> Http.error 400 "missing strategy parameter\n"
-      | Some s -> (
-          match parse_strategy s with
-          | Error e -> Http.error 400 (e ^ "\n")
-          | Ok strategy ->
-              of_result
-                (Result.map stats_body (Repo.optimize repo strategy))))
-  | "GET", [ "verify" ] -> (
-      match Repo.verify repo with
-      | Ok () -> Http.ok "consistent\n"
-      | Error problems ->
-          Http.error 500 (String.concat "\n" problems ^ "\n"))
-  | "GET", [ "metrics" ] -> (
-      match List.assoc_opt "format" req.Http.query with
-      | Some "json" ->
-          {
-            Http.status = 200;
-            content_type = "application/json";
-            headers = [];
-            body = metrics_json_with_meta ();
-            stream = None;
-          }
-      | _ ->
-          {
-            Http.status = 200;
-            content_type = "text/plain; version=0.0.4; charset=utf-8";
-            headers = [];
-            body = Metrics.to_prometheus ();
-            stream = None;
-          })
-  | "GET", [ "metrics"; "cluster" ] ->
-      (* Cluster-wide scrape: this node's registry plus a live fan-out
-         to every peer's GET /metrics, each sample tagged with its
-         origin peer. A peer that cannot be reached contributes a
-         dsvc_cluster_scrape_up 0 gauge and an annotation line rather
-         than failing the whole scrape — partial results beat none. *)
-      let self_name =
-        match cluster with
-        | Some c -> Replicated.self c.replicated
-        | None -> "self"
-      in
-      let b = Buffer.create 8192 in
-      Buffer.add_string b
-        "# Cluster-wide scrape: every sample carries a peer label naming \
-         its origin node.\n";
-      let add_up peer ok =
-        Buffer.add_string b
-          (Printf.sprintf "dsvc_cluster_scrape_up{peer=\"%s\"} %d\n"
-             (Metrics.escape_label peer)
-             (if ok then 1 else 0))
-      in
-      Buffer.add_string b
-        (relabel_prometheus ~peer:self_name (Metrics.to_prometheus ()));
-      add_up self_name true;
-      (match cluster with
-      | None -> ()
-      | Some c ->
-          (* annotation comments must stay one line each — a newline
-             anywhere in the peer name or the error would inject a
-             non-comment line and corrupt the scrape *)
-          let one_line s =
-            String.map (fun ch -> if ch = '\n' then ' ' else ch) s
-          in
-          List.iter
-            (fun (name, client) ->
-              match Client.request client ~meth:"GET" ~path:"/metrics" () with
-              | Ok (200, body) ->
-                  Buffer.add_string b (relabel_prometheus ~peer:name body);
-                  add_up name true
-              | Ok (status, _) ->
-                  Buffer.add_string b
-                    (Printf.sprintf "# peer %s unreachable: HTTP %d\n"
-                       (one_line name) status);
-                  add_up name false
-              | Error e ->
-                  Buffer.add_string b
-                    (Printf.sprintf "# peer %s unreachable: %s\n"
-                       (one_line name) (one_line e));
-                  add_up name false)
-            c.peer_clients);
-      {
-        Http.status = 200;
-        content_type = "text/plain; version=0.0.4; charset=utf-8";
-        headers = [];
-        body = Buffer.contents b;
-        stream = None;
-      }
-  | "GET", [ "timeseries" ] ->
-      (* The repo's sampled metric history. Lock-free: the ring has
-         its own mutex and the handle's field is only replaced at
-         open. An un-sampled server answers with an empty body. *)
-      let metric = List.assoc_opt "metric" req.Http.query in
-      let since =
-        Option.bind (List.assoc_opt "since" req.Http.query) float_of_string_opt
-      in
-      Http.ok
-        (timeseries_body (Repo.timeseries repo) ~metric ~since
-           ~now:(Unix.gettimeofday ()))
-  | "GET", [ "alerts" ] ->
-      (* One line per rule: name, state, since, value, suppression. *)
-      Http.ok (Alerts.render (Lazy.force alerts_engine))
-  | "GET", [ "trace"; rid ] -> (
-      (* Debug endpoint: the span summary of a recent request. Only
-         requests still in the bounded ring are answerable. *)
-      match find_recent_request rid with
-      | Some r ->
-          Http.ok ~content_type:"application/json" (recent_request_body r)
-      | None ->
-          Http.error 404
-            (Printf.sprintf "no recent request %S (ring keeps the last %d)\n"
-               rid recent_capacity))
-  | "GET", [ "flight" ] ->
-      (* The always-on flight recorder, for `dsvc flight-dump`. *)
-      Http.ok ~content_type:"application/json" (Flight.to_json ())
-  | "GET", [ "health" ] -> Http.ok (health_body ?cluster repo)
-  (* ---- peer blob routes: always the node's LOCAL shard ---- *)
-  | "GET", [ "blob"; digest ] ->
-      (* Streamed: raw-framed blobs go from disk to the socket in
-         fixed-size chunks without ever being materialized whole. *)
-      valid_digest digest @@ fun () -> (
-        match Object_store.get_stream local_store digest with
+  Buffer.add_string b
+    (relabel_prometheus ~peer:self_name (Metrics.to_prometheus ()));
+  add_up self_name true;
+  (match cluster with
+  | None -> ()
+  | Some c ->
+      (* annotation comments must stay one line each — a newline
+         anywhere in the peer name or the error would inject a
+         non-comment line and corrupt the scrape *)
+      let one_line s = String.map (fun ch -> if ch = '\n' then ' ' else ch) s in
+      List.iter
+        (fun (name, client) ->
+          match Client.request client ~meth:"GET" ~path:"/metrics" () with
+          | Ok (200, body) ->
+              Buffer.add_string b (relabel_prometheus ~peer:name body);
+              add_up name true
+          | Ok (status, _) ->
+              Buffer.add_string b
+                (Printf.sprintf "# peer %s unreachable: HTTP %d\n"
+                   (one_line name) status);
+              add_up name false
+          | Error e ->
+              Buffer.add_string b
+                (Printf.sprintf "# peer %s unreachable: %s\n" (one_line name)
+                   (one_line e));
+              add_up name false)
+        c.peer_clients);
+  Buffer.contents b
+
+let table =
+  [
+    route "GET" "/versions" Read (fun e _ ->
+        let lines =
+          Repo.log e.repo
+          |> List.map (fun (c : Repo.commit_info) ->
+                 Printf.sprintf "%d %s %s" c.id
+                   (match c.parents with
+                   | [] -> "-"
+                   | ps -> String.concat "," (List.map string_of_int ps))
+                   c.message)
+        in
+        Http.ok (String.concat "\n" lines ^ "\n"));
+    route "GET" "/checkout/:name" Read (fun e arg ->
+        match Result.bind (resolve e (arg "name")) (Repo.checkout e.repo) with
+        | Ok content -> Http.ok ~content_type:"application/octet-stream" content
+        | Error msg -> Http.error 404 (msg ^ "\n"));
+    route "POST" "/commit" Write (fun e _ ->
+        let message = Option.value (param e "message") ~default:"" in
+        let parents =
+          match param e "parents" with
+          | None | Some "" -> Ok None
+          | Some ps -> (
+              let ids =
+                String.split_on_char ',' ps |> List.map int_of_string_opt
+              in
+              if List.for_all Option.is_some ids then
+                Ok (Some (List.map Option.get ids))
+              else Error "bad parents list")
+        in
+        match parents with
+        | Error msg -> Http.error 400 (msg ^ "\n")
+        | Ok parents -> (
+            match Repo.commit e.repo ~message ?parents e.req.Http.body with
+            | Ok id -> created (string_of_int id)
+            | Error _ as err -> of_result err));
+    route "GET" "/stats" Read (fun e _ ->
+        (* Stats already walks every stored object; refreshing the drift
+           score here (same walk) is where the telemetry drift gauge
+           gets its value — the per-request gauge refresh in
+           [handle_safe] is memory-only. *)
+        if Obs.enabled () then ignore (Repo.drift_score e.repo);
+        Http.ok (stats_body (Repo.stats e.repo)));
+    route "GET" "/branches" Read (fun e _ ->
+        Http.ok
+          (String.concat "\n"
+             (List.map
+                (fun (n, v) ->
+                  Printf.sprintf "%s%s %d"
+                    (if n = Repo.current_branch e.repo then "*" else "")
+                    n v)
+                (Repo.branches e.repo))
+          ^ "\n"));
+    route "POST" "/branch/:name" Write (fun e arg ->
+        unit_result (Repo.create_branch e.repo (arg "name") ?at:(at e) ()));
+    route "POST" "/switch/:name" Write (fun e arg ->
+        unit_result (Repo.switch e.repo (arg "name")));
+    route "GET" "/tags" Read (fun e _ ->
+        Http.ok
+          (String.concat "\n"
+             (List.map
+                (fun (n, v) -> Printf.sprintf "%s %d" n v)
+                (Repo.tags e.repo))
+          ^ "\n"));
+    route "POST" "/tag/:name" Write (fun e arg ->
+        unit_result (Repo.tag e.repo (arg "name") ?at:(at e) ()));
+    route "GET" "/diff/:a/:b" Read (fun e arg ->
+        match
+          Result.bind (resolve e (arg "a")) (fun va ->
+              Result.bind (resolve e (arg "b")) (Repo.diff e.repo va))
+        with
+        | Ok d -> Http.ok d
+        | Error msg -> Http.error 404 (msg ^ "\n"));
+    route "POST" "/optimize" Write (fun e _ ->
+        match Option.map parse_strategy (param e "strategy") with
+        | None -> Http.error 400 "missing strategy parameter\n"
+        | Some (Error msg) -> Http.error 400 (msg ^ "\n")
+        | Some (Ok strategy) ->
+            of_result (Result.map stats_body (Repo.optimize e.repo strategy)));
+    route "GET" "/verify" Read (fun e _ ->
+        match Repo.verify e.repo with
+        | Ok () -> Http.ok "consistent\n"
+        | Error problems ->
+            Http.error 500 (String.concat "\n" problems ^ "\n"));
+    route "GET" "/metrics" Obs (fun e _ ->
+        match param e "format" with
+        | Some "json" ->
+            Http.ok ~content_type:"application/json" (metrics_json_with_meta ())
+        | _ -> prometheus (Metrics.to_prometheus ()));
+    (* Obs although it fans out over the network: it reads only the
+       (mutex-guarded) metrics registry, never the repo, so a dead peer
+       stalling it for a client timeout holds up no repo request. *)
+    route "GET" "/metrics/cluster" Obs (fun e _ ->
+        prometheus (cluster_scrape e.cluster));
+    route "GET" "/timeseries" Obs (fun e _ ->
+        (* The repo's sampled metric history: the ring has its own mutex
+           and the handle's field is only replaced at open. An un-sampled
+           server answers with an empty body. *)
+        let since = Option.bind (param e "since") float_of_string_opt in
+        Http.ok
+          (timeseries_body (Repo.timeseries e.repo) ~metric:(param e "metric")
+             ~since ~now:(Unix.gettimeofday ())));
+    route "GET" "/alerts" Obs (fun _ _ ->
+        Http.ok (Alerts.render (Lazy.force alerts_engine)));
+    route "GET" "/trace/:request_id" Obs (fun _ arg ->
+        (* Only requests still in the bounded ring are answerable. *)
+        let rid = arg "request_id" in
+        match find_recent_request rid with
+        | Some r ->
+            Http.ok ~content_type:"application/json" (recent_request_body r)
+        | None ->
+            Http.error 404
+              (Printf.sprintf "no recent request %S (ring keeps the last %d)\n"
+                 rid recent_capacity));
+    route "GET" "/flight" Obs (fun _ _ ->
+        Http.ok ~content_type:"application/json" (Flight.to_json ()));
+    route "GET" "/health" Read (fun e _ ->
+        Http.ok (health_body ?cluster:e.cluster e.repo));
+    (* ---- peer blob routes: always the node's LOCAL shard ---- *)
+    route "GET" "/blob/:digest" Read (fun e arg ->
+        (* Streamed: raw-framed blobs go from disk to the socket in
+           fixed-size chunks without ever being materialized whole. *)
+        with_digest arg @@ fun digest ->
+        match Object_store.get_stream (local_store e) digest with
         | Ok s ->
             Http.ok_stream
               {
@@ -581,78 +522,125 @@ let handle ?cluster repo (req : Http.request) =
                 read_chunk = s.Object_store.bs_read;
                 close_stream = s.Object_store.bs_close;
               }
-        | Error e -> Http.error 404 (e ^ "\n"))
-  | "GET", [ "blob"; digest; "stat" ] ->
-      valid_digest digest @@ fun () -> (
-        match Object_store.get local_store digest with
+        | Error msg -> Http.error 404 (msg ^ "\n"));
+    route "GET" "/blob/:digest/stat" Read (fun e arg ->
+        with_digest arg @@ fun digest ->
+        match Object_store.get (local_store e) digest with
         | Ok content ->
             Http.ok (Printf.sprintf "present %d\n" (String.length content))
-        | Error e -> Http.error 404 (e ^ "\n"))
-  | "POST", [ "blob"; digest ] ->
-      valid_digest digest @@ fun () ->
-      if Content_hash.hex req.Http.body <> digest then
-        Http.error 409 "content does not match digest\n"
-      else (
-        match Object_store.put local_store req.Http.body with
-        | Ok _ ->
-            {
-              Http.status = 201;
-              content_type = "text/plain; charset=utf-8";
-              headers = [];
-              body = "stored\n";
-              stream = None;
-            }
-        | Error e -> Http.error 409 (e ^ "\n"))
-  | "POST", [ "blob"; digest; "quarantine" ] ->
-      valid_digest digest @@ fun () -> (
-        match Object_store.quarantine local_store digest with
+        | Error msg -> Http.error 404 (msg ^ "\n"));
+    route "POST" "/blob/:digest" Read (fun e arg ->
+        with_digest arg @@ fun digest ->
+        if Content_hash.hex e.req.Http.body <> digest then
+          Http.error 409 "content does not match digest\n"
+        else
+          match Object_store.put (local_store e) e.req.Http.body with
+          | Ok _ -> created "stored\n"
+          | Error msg -> Http.error 409 (msg ^ "\n"));
+    route "POST" "/blob/:digest/quarantine" Read (fun e arg ->
+        with_digest arg @@ fun digest ->
+        match Object_store.quarantine (local_store e) digest with
         | Ok dst -> Http.ok (dst ^ "\n")
-        | Error e -> Http.error 404 (e ^ "\n"))
-  | "DELETE", [ "blob"; digest ] ->
-      valid_digest digest @@ fun () ->
-      Object_store.delete local_store digest;
-      Http.ok "deleted\n"
-  | "GET", [ "blobs" ] ->
-      let lines =
-        (Object_store.backend local_store).Backend.list ()
-        |> List.map (fun (d, size) -> Printf.sprintf "%s %d" d size)
-      in
-      Http.ok (String.concat "\n" lines ^ "\n")
-  (* ---- metadata replication ---- *)
-  | "GET", [ "meta" ] -> (
-      match Repo.export_meta repo with
-      | Ok meta -> Http.ok meta
-      | Error e -> Http.error 500 (e ^ "\n"))
-  | "POST", [ "meta"; "sync" ] -> (
-      match Repo.adopt_meta repo req.Http.body with
-      | Ok true -> Http.ok "adopted\n"
-      | Ok false -> Http.ok "stale\n"
-      | Error e -> Http.error 409 (e ^ "\n"))
-  | "POST", [ "anti-entropy" ] -> (
-      match cluster with
-      | None -> Http.error 409 "not serving in cluster mode\n"
-      | Some c ->
-          (* Bring rejoined peers current: probe first (a restarted
-             node must not wait out its probation), then metadata (so
-             their reference set is ours), then blob replication. *)
-          Replicated.probe c.replicated;
-          push_meta_to_peers c repo;
-          let report =
-            Replicated.anti_entropy c.replicated
-              ~digests:(Repo.referenced_digests repo)
-          in
-          let b = Buffer.create 128 in
-          Buffer.add_string b
-            (Printf.sprintf "checked %d\nrepaired %d\nfailed %d\n"
-               report.Replicated.checked report.Replicated.repaired
-               (List.length report.Replicated.failed));
-          List.iter
-            (fun f -> Buffer.add_string b (Printf.sprintf "failure %s\n" f))
-            report.Replicated.failed;
-          if report.Replicated.failed = [] then Http.ok (Buffer.contents b)
-          else Http.error 500 (Buffer.contents b))
-  | ("GET" | "POST" | "DELETE"), _ -> Http.error 404 "no such route\n"
-  | _, _ -> Http.error 405 "method not allowed\n"
+        | Error msg -> Http.error 404 (msg ^ "\n"));
+    route "DELETE" "/blob/:digest" Read (fun e arg ->
+        with_digest arg @@ fun digest ->
+        Object_store.delete (local_store e) digest;
+        Http.ok "deleted\n");
+    route "GET" "/blobs" Read (fun e _ ->
+        let lines =
+          (Object_store.backend (local_store e)).Backend.list ()
+          |> List.map (fun (d, size) -> Printf.sprintf "%s %d" d size)
+        in
+        Http.ok (String.concat "\n" lines ^ "\n"));
+    (* ---- metadata replication: never Write, so an adopted push does
+       not trigger another push ---- *)
+    route "GET" "/meta" Read (fun e _ ->
+        match Repo.export_meta e.repo with
+        | Ok meta -> Http.ok meta
+        | Error msg -> Http.error 500 (msg ^ "\n"));
+    route "POST" "/meta/sync" Read (fun e _ ->
+        match Repo.adopt_meta e.repo e.req.Http.body with
+        | Ok true -> Http.ok "adopted\n"
+        | Ok false -> Http.ok "stale\n"
+        | Error msg -> Http.error 409 (msg ^ "\n"));
+    route "POST" "/anti-entropy" Read (fun e _ ->
+        match e.cluster with
+        | None -> Http.error 409 "not serving in cluster mode\n"
+        | Some c ->
+            (* Bring rejoined peers current: probe first (a restarted
+               node must not wait out its probation), then metadata (so
+               their reference set is ours), then blob replication. *)
+            Replicated.probe c.replicated;
+            push_meta_to_peers c e.repo;
+            let report =
+              Replicated.anti_entropy c.replicated
+                ~digests:(Repo.referenced_digests e.repo)
+            in
+            let b = Buffer.create 128 in
+            Buffer.add_string b
+              (Printf.sprintf "checked %d\nrepaired %d\nfailed %d\n"
+                 report.Replicated.checked report.Replicated.repaired
+                 (List.length report.Replicated.failed));
+            List.iter
+              (fun f -> Buffer.add_string b (Printf.sprintf "failure %s\n" f))
+              report.Replicated.failed;
+            if report.Replicated.failed = [] then Http.ok (Buffer.contents b)
+            else Http.error 500 (Buffer.contents b));
+  ]
+
+let routes = List.map (fun r -> (r.meth, r.template, r.access)) table
+
+let segments path =
+  String.split_on_char '/' path |> List.filter (fun s -> s <> "")
+
+let compiled = List.map (fun r -> (r, segments r.template)) table
+
+(* Bind a template's segments to a request's decoded ones: the
+   captures when every literal agrees and the lengths match. *)
+let rec bind tpl segs acc =
+  match (tpl, segs) with
+  | [], [] -> Some acc
+  | t :: tpl, s :: segs when t.[0] = ':' ->
+      bind tpl segs ((String.sub t 1 (String.length t - 1), s) :: acc)
+  | t :: tpl, s :: segs when t = s -> bind tpl segs acc
+  | _ -> None
+
+type matched =
+  | Found of route * (string * string) list
+  | Wrong_method of string list  (* the methods the path does take *)
+  | No_route
+
+(* The one match per request. The path arrives still percent-encoded
+   and is split on '/' before each segment is decoded, so a ref name
+   carrying an encoded '/' or '?' stays one capture. *)
+let lookup (req : Http.request) =
+  let segs = List.map Http.percent_decode (segments req.Http.path) in
+  let hits =
+    List.filter_map
+      (fun (r, tpl) -> Option.map (fun caps -> (r, caps)) (bind tpl segs []))
+      compiled
+  in
+  match List.find_opt (fun (r, _) -> r.meth = req.Http.meth) hits with
+  | Some (r, caps) -> Found (r, caps)
+  | None when hits = [] -> No_route
+  | None -> Wrong_method (List.map (fun (r, _) -> r.meth) hits)
+
+let classify req =
+  match lookup req with
+  | Found (r, _) -> Some (r.template, r.access)
+  | Wrong_method _ | No_route -> None
+
+let answer ?cluster repo req = function
+  | Found (r, caps) ->
+      r.run { repo; cluster; req } (fun name -> List.assoc name caps)
+  | Wrong_method allowed ->
+      {
+        (Http.error 405 "method not allowed\n") with
+        Http.headers = [ ("Allow", String.concat ", " allowed) ];
+      }
+  | No_route -> Http.error 404 "no such route\n"
+
+let handle ?cluster repo req = answer ?cluster repo req (lookup req)
 
 (* Recover the client's trace context from the request headers: the
    trace id and parent span from [traceparent], the request id from
@@ -688,26 +676,29 @@ let context_of_request (req : Http.request) =
    GET /trace/:request_id. The wall-clock read here is a server-tier
    operational measurement, not an Obs-gated one — it feeds the access
    log, never a planning decision (DESIGN.md §11). *)
-let handle_safe ?cluster repo req =
+let respond ?cluster repo req matched =
   let ctx = context_of_request req in
   Context.with_context ctx @@ fun () ->
   let run () =
-    try handle ?cluster repo req
+    try answer ?cluster repo req matched
     with e -> Http.error 500 ("internal error: " ^ Printexc.to_string e ^ "\n")
   in
-  let route = route_label req.Http.meth req.Http.path in
+  let route, access =
+    match matched with
+    | Found (r, _) -> (r.template, Some r.access)
+    | Wrong_method _ | No_route -> ("other", None)
+  in
   let t0 = Unix.gettimeofday () in
   let resp =
     Trace.with_span ?parent:ctx.Context.parent_span "server.request" run
   in
   let dur = Unix.gettimeofday () -. t0 in
   (* Refresh the workload-telemetry gauges while this thread still
-     holds the repo lock (lock-free routes skip it — they must not
-     touch repo state). The refresh is memory-only: the drift value is
+     holds the repo lock ([Obs] routes skip it — they must not touch
+     repo state). The refresh is memory-only: the drift value is
      whatever the last explicit [Repo.drift_score] computed (GET
      /stats refreshes it). *)
-  if Obs.enabled () && not (lock_free_route route) then
-    Repo.export_telemetry repo;
+  if Obs.enabled () && access <> Some Obs then Repo.export_telemetry repo;
   if Obs.enabled () then begin
     (* Per-route count/latency/status; the route template keeps label
        cardinality bounded. *)
@@ -745,7 +736,7 @@ let handle_safe ?cluster repo req =
      inside the request's trace, so the pushes appear in its spans. *)
   (match cluster with
   | Some c
-    when mutating_route route && resp.Http.status >= 200
+    when access = Some Write && resp.Http.status >= 200
          && resp.Http.status < 300 ->
       push_meta_to_peers c repo
   | _ -> ());
@@ -756,25 +747,22 @@ let handle_safe ?cluster repo req =
       ("X-Dsvc-Request-Id", ctx.Context.request_id) :: resp.Http.headers;
   }
 
+let handle_safe ?cluster repo req = respond ?cluster repo req (lookup req)
+
 (* ---- event-driven serving (DESIGN.md §13) ----
 
    One loop thread owns every socket: it accepts, reads, parses
    incrementally, and writes — never blocking on any of them. Parsed
-   requests are handed to a small executor (systhreads; default one,
-   because the ambient trace {!Context} is domain-local and shared
-   between systhreads) whose responses are posted back to the loop.
+   requests are handed to a one-thread executor (the ambient trace
+   {!Context} is domain-local and shared between systhreads, so a
+   second handler thread would mix up trace ids) whose responses are
+   posted back to the loop.
    Heavy handlers still parallelize internally: [Repo.optimize] fans
    out across the [Pool] domains, so the loop stays responsive while a
    solve runs. *)
 
 module Evloop = Versioning_util.Evloop
 module Faults = Versioning_util.Faults
-
-(* Numeric knobs go through the shared validating parsers: a typo'd
-   DSVC_MAX_CONNS or DSVC_IDLE_TIMEOUT complains on stderr instead of
-   silently running with the default. *)
-let env_float name default = Obs.env_float name ~default
-let env_int name default = Obs.env_int name ~default
 
 (* How many complete pipelined requests may queue per connection
    before the loop stops reading from it (backpressure). *)
@@ -802,26 +790,23 @@ let record_rejected reason =
     ~help:"Connections/requests refused by the server core, by reason"
 
 let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
-    ?(request_timeout = 30.0) ?idle_timeout ?max_connections ?workers
-    ?backend ?on_listen () =
+    ?(request_timeout = 30.0) ?idle_timeout ?max_connections ?backend
+    ?on_listen () =
   (* Serving is an operational mode: turn the observability layer on
      so GET /metrics has data, whatever the environment says. *)
   Obs.enable ();
+  (* Numeric knobs go through the shared validating parsers: a typo'd
+     value complains on stderr instead of silently running with the
+     default. *)
   let idle_timeout =
     match idle_timeout with
     | Some v -> v
-    | None -> env_float "DSVC_IDLE_TIMEOUT" 5.0
+    | None -> Obs.env_float "DSVC_IDLE_TIMEOUT" ~default:5.0
   in
   let max_connections =
     match max_connections with
     | Some v -> v
-    | None -> env_int "DSVC_MAX_CONNS" 1024
-  in
-  let workers =
-    max 1
-      (match workers with
-      | Some v -> v
-      | None -> env_int "DSVC_SERVER_WORKERS" 1)
+    | None -> Obs.env_int "DSVC_MAX_CONNS" ~default:1024
   in
   try
     let addr = Unix.inet_addr_of_string host in
@@ -862,20 +847,16 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
       restore "SIGTERM" Sys.sigterm !old_term
     in
     let loop = Evloop.create ?backend () in
-    Log.info (fun m ->
-        m "event loop backend: %s, workers: %d" (Evloop.backend_name loop)
-          workers);
+    Log.info (fun m -> m "event loop backend: %s" (Evloop.backend_name loop));
     let conns : (int, conn) Hashtbl.t = Hashtbl.create 64 in
     let served = ref 0 in
     let stopping = ref false in
     let listener_open = ref true in
     let drain_deadline = ref infinity in
     let rbuf = Bytes.create 65536 in
-    (* Executor: parsed requests run here so a slow handler never
-       blocks the loop. One worker by default — the ambient trace
-       context is domain-local, so concurrent handlers in one domain
-       would interleave their contexts (DSVC_SERVER_WORKERS opts in;
-       the repo lock below keeps state safe when they do). *)
+    (* Executor: parsed requests run on one thread so a slow handler
+       never blocks the loop. The repo lock keeps the sampler's
+       persistence thread off the repo while a handler runs. *)
     let repo_mutex = Mutex.create () in
     let with_repo_lock f =
       Mutex.lock repo_mutex;
@@ -909,7 +890,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
              Log.err (fun m -> m "executor job raised: %s" (Printexc.to_string e)));
           worker ()
     in
-    let threads = List.init workers (fun _ -> Thread.create worker ()) in
+    let executor = Thread.create worker () in
     (* ---- cluster health sampler (DESIGN.md §16) ----
 
        A reactor timer ticks the sampler every DSVC_TS_STEP seconds:
@@ -1138,11 +1119,13 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
         let keep = Http.keep_alive req in
         conn.c_busy <- true;
         conn.c_last_activity <- Unix.gettimeofday ();
-        let route = route_label req.Http.meth req.Http.path in
+        let matched = lookup req in
         submit (fun () ->
+            let run () = respond ?cluster repo req matched in
             let resp =
-              if lock_free_route route then handle_safe ?cluster repo req
-              else with_repo_lock (fun () -> handle_safe ?cluster repo req)
+              match matched with
+              | Found ({ access = Obs; _ }, _) -> run ()
+              | _ -> with_repo_lock run
             in
             Evloop.post loop (fun () -> on_response conn keep resp))
       end
@@ -1330,7 +1313,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
         quit := true;
         Condition.broadcast jobs_cond;
         Mutex.unlock jobs_mutex;
-        List.iter Thread.join threads;
+        Thread.join executor;
         let all = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
         List.iter close_conn all;
         (* drain late-posted responses so their streams close *)

@@ -1,57 +1,55 @@
 (** The prototype's HTTP interface (§5: "users interact with the
     version management system in a client-server model over HTTP").
 
-    Routes (all responses [text/plain]):
+    Routes, in {!routes} order, each with its {!access} class (all
+    responses [text/plain] unless noted):
 
-    - [GET /versions] — one line per commit: [id parents message]
-    - [GET /checkout/<id-or-name>] — the version's bytes
-    - [POST /commit?message=…&parents=1,2] — body is the content;
-      responds [201] with the new id
-    - [GET /stats] — the {!Repo.stats} fields, one per line
-    - [GET /branches], [POST /branch/<name>?at=<id>],
-      [POST /switch/<name>]
-    - [GET /tags], [POST /tag/<name>?at=<id>]
-    - [GET /diff/<a>/<b>] — encoded line delta
-    - [POST /optimize?strategy=<s>] — [min-storage], [min-recreation],
-      [balanced=F], [bounded-max=F], [git], [svn]
-    - [GET /verify]
-    - [GET /trace/<request-id>] — JSON span summary of a recently
-      handled request (bounded in-memory table; [404] once evicted)
-    - [GET /flight] — the {!Versioning_obs.Flight} ring as JSON
-    - [GET /health] — liveness/cluster view: store reachability,
-      journal state, metadata generation, build/process provenance
-      ([build]/[ocaml]/[uptime_s] — the same stamps as the metrics
-      meta block and the bench record), and (cluster mode) ring epoch,
-      replica count, pending hints and per-peer up/down/probe
-    - [GET /metrics/cluster] — cluster-wide Prometheus scrape: this
-      node's registry plus a live fan-out to every peer's
-      [GET /metrics], each sample re-labelled with [peer="<name>"]
-      (escaped per the exposition spec), one
-      [dsvc_cluster_scrape_up{peer=…}] gauge per node, and a
-      [# peer <name> unreachable: …] annotation for each peer that
-      could not be scraped (partial results, never a hard failure)
-    - [GET /timeseries] — the sampled metric history (DESIGN.md §16):
-      without parameters, the sorted series names one per line; with
-      [?metric=…&since=<seconds-back>], one
-      [time count avg min max last] line per bucket from the finest
-      downsampling tier that covers the span
-    - [GET /alerts] — one line per alert rule:
-      [name state since=… value=…] plus a [suppressed="…"] annotation
-      for rules muted via [DSVC_ALERT_SUPPRESS]
+    - [GET /versions] (Read) — one line per commit: [id parents message]
+    - [GET /checkout/:name] (Read) — the bytes of a version id, tag or
+      branch
+    - [POST /commit?message=…&parents=1,2] (Write) — body is the
+      content; [201] with the new id
+    - [GET /stats] (Read) — the {!Repo.stats} fields, one per line
+    - [GET /branches] (Read), [POST /branch/:name?at=<id>] (Write),
+      [POST /switch/:name] (Write)
+    - [GET /tags] (Read), [POST /tag/:name?at=<id>] (Write)
+    - [GET /diff/:a/:b] (Read) — encoded line delta
+    - [POST /optimize?strategy=<s>] (Write) — [min-storage],
+      [min-recreation], [balanced=F], [bounded-max=F], [git], [svn]
+    - [GET /verify] (Read)
+    - [GET /metrics] (Obs) — Prometheus text, or JSON with
+      [?format=json] ({!metrics_json_with_meta})
+    - [GET /metrics/cluster] (Obs) — this node's registry plus a live
+      fan-out to every peer's [GET /metrics], each sample re-labelled
+      [peer="<name>"], one [dsvc_cluster_scrape_up{peer=…}] gauge per
+      node and a [# peer <name> unreachable: …] line per dead peer
+    - [GET /timeseries] (Obs) — the sampled metric history (DESIGN.md
+      §16): the series names, or with [?metric=…&since=<seconds-back>]
+      one [time count avg min max last] line per bucket
+    - [GET /alerts] (Obs) — [name state since=… value=…] per rule, with
+      [suppressed="…"] for rules muted via [DSVC_ALERT_SUPPRESS]
+    - [GET /trace/:request_id] (Obs) — JSON span summary of a recent
+      request ([404] once evicted from the bounded ring)
+    - [GET /flight] (Obs) — the {!Versioning_obs.Flight} ring as JSON
+    - [GET /health] (Read) — store reachability, journal state,
+      generation, [build]/[ocaml]/[uptime_s] provenance, and (cluster
+      mode) ring epoch, replicas, pending hints and per-peer state
+    - [GET /blob/:digest], [GET /blob/:digest/stat],
+      [POST /blob/:digest] (body must hash to the digest; [409]
+      otherwise), [POST /blob/:digest/quarantine],
+      [DELETE /blob/:digest], [GET /blobs] (all Read) — the node's
+      {e local} shard, never the replicated view, so replication cannot
+      recurse (DESIGN.md §12)
+    - [GET /meta], [POST /meta/sync] (Read) — metadata replication,
+      generation-gated and idempotent
+    - [POST /anti-entropy] (Read) — push metadata to peers, then restore
+      full replication of every referenced digest ([500] listing the
+      failures if any digest stays under-replicated)
 
-    Cluster-mode routes (DESIGN.md §12). The [/blob] family always
-    serves the node's {e local} shard — never the replicated view —
-    so peer-to-peer replication cannot recurse:
-
-    - [GET /blob/<digest>], [GET /blob/<digest>/stat],
-      [POST /blob/<digest>] (body must hash to the digest; [409]
-      otherwise), [POST /blob/<digest>/quarantine],
-      [DELETE /blob/<digest>], [GET /blobs]
-    - [GET /meta] / [POST /meta/sync] — metadata replication;
-      adoption is generation-gated and idempotent
-    - [POST /anti-entropy] — push metadata to peers, then restore
-      full replication of every referenced digest ([500] with the
-      failures listed if any digest stays under-replicated)
+    The path is matched still percent-encoded: it is split on [/] and
+    each segment decoded, so [/checkout/release%2F1.0] names the ref
+    [release/1.0]. A path no template matches is [404]; one matched
+    only under other methods is [405] with an [Allow] header.
 
     {!handle} is the pure request router (unit-testable without
     sockets); {!serve} runs the accept loop.
@@ -79,12 +77,24 @@ type cluster = {
 (** Cluster wiring for [dsvc serve --peers]; absent means the
     original single-node behaviour, bit for bit. *)
 
+type access =
+  | Read  (** runs under the repo lock *)
+  | Write  (** Read, and a 2xx is followed by a metadata push to peers *)
+  | Obs  (** observability only: skips the repo lock and telemetry refresh *)
+
+val routes : (string * string * access) list
+(** Every route as [(meth, template, access)], in table order. *)
+
+val classify : Http.request -> (string * access) option
+(** The template and access class a request routes to, if any. The
+    template is also its [route] metric label ("other" when [None]). *)
+
 val handle : ?cluster:cluster -> Repo.t -> Http.request -> Http.response
 
 val handle_safe : ?cluster:cluster -> Repo.t -> Http.request -> Http.response
 (** {!handle}, but a raising handler becomes a [500] response instead
     of an exception — what {!serve} actually runs per request. In
-    cluster mode, a successful mutating request is followed by a
+    cluster mode, a 2xx from a [Write] route is followed by a
     metadata push to every usable peer (inside the request's trace). *)
 
 val serve :
@@ -96,7 +106,6 @@ val serve :
   ?request_timeout:float ->
   ?idle_timeout:float ->
   ?max_connections:int ->
-  ?workers:int ->
   ?backend:string ->
   ?on_listen:(int -> unit) ->
   unit ->
@@ -106,11 +115,9 @@ val serve :
     available), connections persist across requests (HTTP/1.1
     keep-alive, pipelining up to a bounded depth), and blob responses
     stream from disk in fixed-size chunks through vectored writes.
-    Parsed requests execute on a small worker pool so a slow handler
-    never blocks the loop; [workers] (default [DSVC_SERVER_WORKERS] or
-    1 — the ambient trace context is domain-local, so more workers may
-    interleave trace ids) — non-observability routes additionally
-    serialize on an internal repo lock.
+    Parsed requests execute on one executor thread so a slow handler
+    never blocks the loop; all but [Obs] routes also take an internal
+    repo lock.
 
     [max_requests] stops the server after that many responses have
     been enqueued (tests), draining open connections briefly. The

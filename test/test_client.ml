@@ -151,8 +151,34 @@ let test_request_counters_by_status () =
            {|dsvc_client_requests_total{method="GET",status="404"} 1|});
       Metrics.reset ())
 
+(* Ref names carrying characters reserved in a URL path survive the
+   round trip: the client escapes each path segment, the server splits
+   before decoding. *)
+let test_reserved_ref_names () =
+  with_server (fun client repo ->
+      List.iter
+        (fun name ->
+          ok (Client.tag client name ~at:1 ());
+          ok (Client.branch client name ~at:1 ());
+          ok (Client.switch client name);
+          Alcotest.(check string) ("checkout " ^ name) "alpha\nbeta"
+            (ok (Client.checkout client name));
+          ignore (ok (Client.diff client name "2")))
+        [ "release/1.0"; "a?b" ];
+      Alcotest.(check (list (pair string int))) "tags as named"
+        [ ("a?b", 1); ("release/1.0", 1) ]
+        (List.sort compare (Repo.tags repo));
+      match Client.request client ~meth:"GET" ~path:"/tags" () with
+      | Ok (200, body) ->
+          Alcotest.(check bool) "/tags lists a?b" true
+            (List.mem "a?b 1" (String.split_on_char '\n' body))
+      | Ok (status, _) -> Alcotest.failf "/tags: HTTP %d" status
+      | Error e -> Alcotest.failf "/tags: %s" e)
+
 let suite =
   [
+    Alcotest.test_case "reserved characters in ref names" `Quick
+      test_reserved_ref_names;
     Alcotest.test_case "full client session" `Quick test_full_session;
     Alcotest.test_case "connection refused" `Quick test_connection_refused;
     Alcotest.test_case "hostname resolution" `Quick test_hostname_resolution;

@@ -162,8 +162,122 @@ let test_route_branches_tags_diff () =
   let r = Server.handle repo (mk_request "/nope") in
   Alcotest.(check int) "404 route" 404 r.Http.status;
   let r = Server.handle repo (mk_request ~meth:"PUT" "/versions") in
-  Alcotest.(check bool) "404/405 for PUT" true
-    (r.Http.status = 404 || r.Http.status = 405)
+  Alcotest.(check int) "405 for PUT" 405 r.Http.status;
+  let r = Server.handle repo (mk_request ~meth:"POST" "/versions") in
+  Alcotest.(check int) "405 for POST" 405 r.Http.status;
+  Alcotest.(check (option string)) "Allow lists the path's methods" (Some "GET")
+    (List.assoc_opt "Allow" r.Http.headers);
+  let r = Server.handle repo (mk_request ~meth:"PUT" "/blob/x") in
+  Alcotest.(check (option string)) "Allow in table order"
+    (Some "GET, POST, DELETE")
+    (List.assoc_opt "Allow" r.Http.headers);
+  let r = Server.handle repo (mk_request ~meth:"PUT" "/nope") in
+  Alcotest.(check int) "unknown path is 404 for any method" 404 r.Http.status
+
+(* ---- the route table ---- *)
+
+let access_name = function
+  | Server.Read -> "Read"
+  | Server.Write -> "Write"
+  | Server.Obs -> "Obs"
+
+let templates_of access =
+  List.filter_map
+    (fun (_, template, a) -> if a = access then Some template else None)
+    Server.routes
+  |> List.sort compare
+
+let test_route_table () =
+  (* every entry is reached by its own template, with captures that
+     carry an encoded '/' *)
+  List.iter
+    (fun (meth, template, access) ->
+      let path =
+        String.split_on_char '/' template
+        |> List.map (fun seg ->
+               if seg <> "" && seg.[0] = ':' then
+                 "x%2F" ^ String.sub seg 1 (String.length seg - 1)
+               else seg)
+        |> String.concat "/"
+      in
+      match Server.classify (mk_request ~meth path) with
+      | Some (label, a) ->
+          Alcotest.(check string) (meth ^ " " ^ path ^ " label") template label;
+          Alcotest.(check string) (meth ^ " " ^ path ^ " access")
+            (access_name access) (access_name a)
+      | None -> Alcotest.failf "%s %s matched no route" meth path)
+    Server.routes;
+  let pairs = List.map (fun (m, t, _) -> (m, t)) Server.routes in
+  Alcotest.(check int) "each (method, template) once"
+    (List.length pairs)
+    (List.length (List.sort_uniq compare pairs));
+  Alcotest.(check (list string)) "Write routes"
+    [ "/branch/:name"; "/commit"; "/optimize"; "/switch/:name"; "/tag/:name" ]
+    (templates_of Server.Write);
+  Alcotest.(check (list string)) "Obs routes"
+    [ "/alerts"; "/flight"; "/metrics"; "/metrics/cluster"; "/timeseries";
+      "/trace/:request_id" ]
+    (templates_of Server.Obs);
+  (* an adopted meta push must not trigger another push *)
+  List.iter
+    (fun template ->
+      Alcotest.(check bool) (template ^ " is not Write") false
+        (List.mem template (templates_of Server.Write)))
+    [ "/meta/sync"; "/anti-entropy" ];
+  Alcotest.(check bool) "a raw '/' is an extra segment" true
+    (Server.classify (mk_request "/checkout/release/1.0") = None)
+
+(* Ref names with characters that are reserved in a URL path, sent
+   percent-encoded the way Client sends them. *)
+let encode_ref name =
+  String.to_seq name
+  |> Seq.map (function '/' -> "%2F" | '?' -> "%3F" | c -> String.make 1 c)
+  |> List.of_seq |> String.concat ""
+
+let test_reserved_ref_names () =
+  let repo = mk_repo () in
+  List.iter
+    (fun name ->
+      let path route = route ^ encode_ref name in
+      let expect what status r =
+        Alcotest.(check int) (what ^ " " ^ name) status r.Http.status
+      in
+      expect "tag" 200
+        (Server.handle repo
+           (mk_request ~meth:"POST" ~query:[ ("at", "1") ] (path "/tag/")));
+      expect "branch" 200
+        (Server.handle repo
+           (mk_request ~meth:"POST" ~query:[ ("at", "1") ] (path "/branch/")));
+      expect "switch" 200
+        (Server.handle repo (mk_request ~meth:"POST" (path "/switch/")));
+      let r = Server.handle repo (mk_request (path "/checkout/")) in
+      expect "checkout" 200 r;
+      Alcotest.(check string) ("checkout bytes " ^ name) "alpha\nbeta"
+        r.Http.body;
+      expect "diff" 200
+        (Server.handle repo (mk_request (path "/diff/" ^ "/2"))))
+    [ "release/1.0"; "a?b" ];
+  let r = Server.handle repo (mk_request "/tags") in
+  let tags = String.split_on_char '\n' r.Http.body in
+  Alcotest.(check bool) "tags list a?b" true (List.mem "a?b 1" tags);
+  Alcotest.(check bool) "tags list release/1.0" true
+    (List.mem "release/1.0 1" tags);
+  Alcotest.(check bool) "no truncated tag" false (List.mem "a 1" tags);
+  Alcotest.(check string) "current branch" "a?b" (Repo.current_branch repo)
+
+let test_encoded_route_label () =
+  let module Obs = Versioning_obs.Obs in
+  let module Metrics = Versioning_obs.Metrics in
+  Obs.with_enabled true @@ fun () ->
+  Metrics.reset ();
+  let repo = mk_repo () in
+  ignore (ok (Repo.tag repo "release/1.0" ~at:1 ()));
+  let r = Server.handle_safe repo (mk_request "/checkout/release%2F1.0") in
+  Alcotest.(check int) "checkout ok" 200 r.Http.status;
+  Alcotest.(check bool) "counted under the template" true
+    (List.mem
+       {|dsvc_server_requests_total{route="/checkout/:name",status="200"} 1|}
+       (String.split_on_char '\n' (Metrics.to_prometheus ())))
 
 let test_error_status_mapping () =
   let repo = mk_repo () in
@@ -860,6 +974,11 @@ let suite =
       test_route_stats_optimize_verify;
     Alcotest.test_case "route branches/tags/diff" `Quick
       test_route_branches_tags_diff;
+    Alcotest.test_case "route table" `Quick test_route_table;
+    Alcotest.test_case "reserved characters in ref names" `Quick
+      test_reserved_ref_names;
+    Alcotest.test_case "encoded path keeps its route label" `Quick
+      test_encoded_route_label;
     Alcotest.test_case "error status mapping" `Quick test_error_status_mapping;
     Alcotest.test_case "raising handler yields 500" `Quick
       test_raising_handler_yields_500;
