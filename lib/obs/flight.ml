@@ -28,25 +28,14 @@ let capacity = 512
 
 let mutex = Mutex.create ()
 
-(* lint: mutable-ok bounded ring of recent events; writes take [mutex]
-   above, and nothing ever reads it to make a decision *)
-let ring : event option array = Array.make capacity None
-
-(* lint: mutable-ok ring cursor + total counter, same mutex *)
-let cursor = ref 0
-
-(* lint: mutable-ok same ring bookkeeping *)
-let recorded = ref 0
+(* every access takes [mutex] above *)
+let ring : event Bounded_ring.t = Bounded_ring.create capacity
 
 let with_lock f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let record ev =
-  with_lock (fun () ->
-      ring.(!cursor) <- Some ev;
-      cursor := (!cursor + 1) mod capacity;
-      incr recorded)
+let record ev = with_lock (fun () -> Bounded_ring.push ring ev)
 
 let ambient_ids () =
   match Context.current () with
@@ -81,22 +70,9 @@ let record_log ~level ~src message =
       ev_request = request;
     }
 
-let events () =
-  with_lock (fun () ->
-      let n = min !recorded capacity in
-      let first = if !recorded <= capacity then 0 else !cursor in
-      List.init n (fun i ->
-          match ring.((first + i) mod capacity) with
-          | Some e -> e
-          | None -> assert false))
-
-let event_count () = with_lock (fun () -> !recorded)
-
-let reset () =
-  with_lock (fun () ->
-      Array.fill ring 0 capacity None;
-      cursor := 0;
-      recorded := 0)
+let events () = with_lock (fun () -> Bounded_ring.to_list ring)
+let event_count () = with_lock (fun () -> Bounded_ring.pushed ring)
+let reset () = with_lock (fun () -> Bounded_ring.clear ring)
 
 let default_path () =
   match Sys.getenv_opt "DSVC_FLIGHT_PATH" with

@@ -31,10 +31,9 @@ type sample = {
 type t = {
   decay : float;
   max_entries : int;
-  ring : int;
   mutable events : int;
   table : (int, entry) Hashtbl.t;
-  mutable recent : sample list; (* newest first, length ≤ ring *)
+  recent : sample Bounded_ring.t;
 }
 
 let default_decay = 0.995
@@ -51,10 +50,9 @@ let create ?(decay = default_decay) ?(max_entries = default_max_entries)
   {
     decay;
     max_entries;
-    ring;
     events = 0;
     table = Hashtbl.create 64;
-    recent = [];
+    recent = Bounded_ring.create ring;
   }
 
 let events t = t.events
@@ -66,7 +64,7 @@ let entries t =
   Hashtbl.fold (fun v e acc -> (v, e) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let samples t = t.recent
+let samples t = Bounded_ring.to_list t.recent
 
 (* The decayed weight of [e] as of event index [at]. *)
 let settled t e ~at = e.freq *. (t.decay ** float_of_int (at - e.freq_at))
@@ -135,15 +133,9 @@ let record_recreation t v ~seconds ~bytes ~predicted ?(trace = "") () =
       e.bytes <- e.bytes +. bytes;
       if trace > e.exemplar then e.exemplar <- trace
   | None -> ());
-  if t.ring > 0 then begin
-    let s = { version = v; s_seconds = seconds; s_bytes = bytes;
-              s_predicted = predicted }
-    in
-    t.recent <- s :: t.recent;
-    (match List.filteri (fun i _ -> i < t.ring) t.recent with
-    | r when List.length t.recent > t.ring -> t.recent <- r
-    | _ -> ())
-  end;
+  Bounded_ring.push t.recent
+    { version = v; s_seconds = seconds; s_bytes = bytes;
+      s_predicted = predicted };
   Metrics.observe "dsvc_obs_recreation_seconds" seconds
     ~help:"Observed checkout recreation wall-clock";
   Metrics.observe "dsvc_obs_recreation_bytes" bytes
@@ -196,7 +188,9 @@ let merge a b =
   let t =
     create ~decay:(Float.max a.decay b.decay)
       ~max_entries:(max a.max_entries b.max_entries)
-      ~ring:(max a.ring b.ring) ()
+      ~ring:
+        (max (Bounded_ring.capacity a.recent) (Bounded_ring.capacity b.recent))
+      ()
   in
   t.events <- a.events + b.events;
   let add side e0 =
@@ -231,16 +225,17 @@ let merge a b =
   while Hashtbl.length t.table > t.max_entries do
     evict_coldest t
   done;
-  (* Deterministic sample union: sort the concatenation (samples carry
-     no wall-clock order across ledgers) and keep the first [ring]. *)
-  t.recent <-
-    List.sort compare (a.recent @ b.recent)
-    |> List.filteri (fun i _ -> i < t.ring);
+  (* Deterministic sample union: samples carry no wall-clock order
+     across ledgers, so push the union in descending order and the
+     ring keeps the smallest, the very smallest as its newest. *)
+  List.sort (fun x y -> compare y x) (samples a @ samples b)
+  |> List.iter (Bounded_ring.push t.recent);
   t
 
 (* ---- rendering / parsing ----
 
-   Line format, space-delimited like the repository metadata:
+   Line format ({!Line_file}), space-delimited like the repository
+   metadata:
 
      telemetry 1
      decay <%h> <max_entries> <ring>
@@ -249,10 +244,9 @@ let merge a b =
      s <version> <seconds %h> <bytes %h> <predicted %h>
      end
 
-   Floats are hex so parse ∘ render is the identity; the trailer makes
-   a torn file detectable. *)
+   Floats are hex so parse ∘ render is the identity. *)
 
-let fh = Printf.sprintf "%h"
+let hex = Line_file.hex
 
 (* Exemplars are trace ids (hex), but a hostile value must not corrupt
    the line format. *)
@@ -261,95 +255,55 @@ let clean_token s =
   if s <> "" && ok then s else "-"
 
 let render t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "telemetry 1\n";
-  Buffer.add_string buf
-    (Printf.sprintf "decay %s %d %d\n" (fh t.decay) t.max_entries t.ring);
-  Buffer.add_string buf (Printf.sprintf "events %d\n" t.events);
-  List.iter
-    (fun (v, e) ->
-      Buffer.add_string buf
-        (Printf.sprintf "v %d %d %d %s %d %d %s %s %s\n" v e.checkouts
-           e.cache_hits (fh e.freq) e.freq_at e.observations (fh e.seconds)
-           (fh e.bytes) (clean_token e.exemplar)))
-    (entries t);
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "s %d %s %s %s\n" s.version (fh s.s_seconds)
-           (fh s.s_bytes) (fh s.s_predicted)))
-    (List.rev t.recent);
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  Line_file.render ~magic:"telemetry"
+    ((Printf.sprintf "decay %s %d %d" (hex t.decay) t.max_entries
+        (Bounded_ring.capacity t.recent)
+     :: Printf.sprintf "events %d" t.events
+     :: List.map
+          (fun (v, e) ->
+            Printf.sprintf "v %d %d %d %s %d %d %s %s %s" v e.checkouts
+              e.cache_hits (hex e.freq) e.freq_at e.observations
+              (hex e.seconds) (hex e.bytes) (clean_token e.exemplar))
+          (entries t))
+    @ List.map
+        (fun s ->
+          Printf.sprintf "s %d %s %s %s" s.version (hex s.s_seconds)
+            (hex s.s_bytes) (hex s.s_predicted))
+        (samples t))
 
 let parse content =
-  let fail msg = Error (Printf.sprintf "corrupt telemetry ledger: %s" msg) in
-  let ( let* ) = Result.bind in
-  let int s = Option.to_result ~none:() (int_of_string_opt s) in
-  let flt s = Option.to_result ~none:() (float_of_string_opt s) in
+  let open Line_file in
   let t = ref (create ()) in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "telemetry" :: _ -> Ok ()
-      | [ "decay"; d; m; r ] -> (
-          match (flt d, int m, int r) with
-          | Ok d, Ok m, Ok r when d > 0.0 && d <= 1.0 && m >= 1 && r >= 0 ->
-              let cur = !t in
-              t :=
-                {
-                  (create ~decay:d ~max_entries:m ~ring:r ()) with
-                  events = cur.events;
-                };
-              Ok ()
-          | _ -> fail "bad decay line")
-      | [ "events"; n ] -> (
-          match int n with
-          | Ok n when n >= 0 ->
-              !t.events <- n;
-              Ok ()
-          | _ -> fail "bad events line")
-      | [ "v"; v; co; ch; fr; fa; ob; se; by; ex ] -> (
-          match (int v, int co, int ch, flt fr, int fa, int ob, flt se, flt by)
-          with
-          | Ok v, Ok co, Ok ch, Ok fr, Ok fa, Ok ob, Ok se, Ok by ->
-              Hashtbl.replace !t.table v
-                {
-                  checkouts = co;
-                  cache_hits = ch;
-                  freq = fr;
-                  freq_at = fa;
-                  observations = ob;
-                  seconds = se;
-                  bytes = by;
-                  exemplar = (if ex = "-" then "" else ex);
-                };
-              Ok ()
-          | _ -> fail "bad version line")
-      | [ "s"; v; se; by; pr ] -> (
-          match (int v, flt se, flt by, flt pr) with
-          | Ok v, Ok se, Ok by, Ok pr ->
-              !t.recent <-
-                { version = v; s_seconds = se; s_bytes = by; s_predicted = pr }
-                :: !t.recent;
-              Ok ()
-          | _ -> fail "bad sample line")
-      | _ -> fail ("unknown line: " ^ line)
-  in
-  let rec body acc = function
-    | [] -> fail "truncated ledger (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
-  in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok !t
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
-  in
-  go lines
+  Result.map (fun () -> !t)
+  @@ parse ~magic:"telemetry" ~what:"telemetry ledger" content (function
+      | [ "decay"; d; m; r ] ->
+          let d = float d and m = int m and r = int r in
+          if not (d > 0.0 && d <= 1.0 && m >= 1 && r >= 0) then
+            bad "bad decay line";
+          t :=
+            { (create ~decay:d ~max_entries:m ~ring:r ()) with
+              events = !t.events }
+      | [ "events"; n ] ->
+          let n = int n in
+          if n < 0 then bad "bad events line";
+          !t.events <- n
+      | [ "v"; v; co; ch; fr; fa; ob; se; by; ex ] ->
+          Hashtbl.replace !t.table (int v)
+            {
+              checkouts = int co;
+              cache_hits = int ch;
+              freq = float fr;
+              freq_at = int fa;
+              observations = int ob;
+              seconds = float se;
+              bytes = float by;
+              exemplar = (if ex = "-" then "" else ex);
+            }
+      | [ "s"; v; se; by; pr ] ->
+          Bounded_ring.push !t.recent
+            { version = int v; s_seconds = float se; s_bytes = float by;
+              s_predicted = float pr }
+      | _ -> bad "unknown line")
 
 let equal a b = render a = render b
 

@@ -71,7 +71,7 @@ val entries : t -> (int * entry) list
 (** All tracked versions, ascending id. *)
 
 val samples : t -> sample list
-(** Recent cost samples, newest first, bounded by the ring size. *)
+(** Recent cost samples, oldest first, bounded by the ring size. *)
 
 val freq_of : t -> int -> float
 (** The version's decayed access weight settled to the current event
@@ -126,10 +126,12 @@ val merge : t -> t -> t
 val equal : t -> t -> bool
 
 val render : t -> string
-(** Deterministic line format ([telemetry 1] header, [end] trailer);
-    floats as hex so {!parse} is an exact inverse. *)
+(** Deterministic {!Line_file} format ([telemetry 1] header, [end]
+    trailer); floats as hex so {!parse} is an exact inverse. *)
 
 val parse : string -> (t, string) result
+(** Inverse of {!render}. A missing or foreign header, a torn file or
+    a malformed line is an [Error]. *)
 
 val export : ?registry:Metrics.t -> t -> repo:string -> drift:float -> unit
 (** Push ledger-level gauges ([dsvc_obs_ledger_*],

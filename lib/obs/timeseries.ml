@@ -26,11 +26,7 @@ type point = {
   mutable p_last : float;
 }
 
-type tier = {
-  t_step : float;
-  t_cap : int;
-  mutable t_points : point list; (* newest first, length ≤ t_cap *)
-}
+type tier = { t_step : float; t_points : point Bounded_ring.t }
 
 type t = {
   step : float;
@@ -70,30 +66,26 @@ let with_lock t f =
 
 let mk_tiers t =
   Array.map
-    (fun m -> { t_step = t.step *. float_of_int m; t_cap = t.cap; t_points = [] })
+    (fun m ->
+      { t_step = t.step *. float_of_int m;
+        t_points = Bounded_ring.create t.cap })
     tier_multipliers
 
 let bucket_of tier now = int_of_float (Float.floor (now /. tier.t_step))
 
-let trim tier =
-  if List.length tier.t_points > tier.t_cap then
-    tier.t_points <- List.filteri (fun i _ -> i < tier.t_cap) tier.t_points
-
 let record_tier tier ~now v =
   let bucket = bucket_of tier now in
-  match tier.t_points with
-  | p :: _ when p.p_bucket = bucket ->
+  match Bounded_ring.newest tier.t_points with
+  | Some p when p.p_bucket = bucket ->
       p.p_count <- p.p_count + 1;
       p.p_sum <- p.p_sum +. v;
       if v < p.p_min then p.p_min <- v;
       if v > p.p_max then p.p_max <- v;
       p.p_last <- v
   | _ ->
-      tier.t_points <-
+      Bounded_ring.push tier.t_points
         { p_bucket = bucket; p_count = 1; p_sum = v; p_min = v; p_max = v;
           p_last = v }
-        :: tier.t_points;
-      trim tier
 
 let record t ~now ~metric v =
   if Float.is_nan v then ()
@@ -135,7 +127,11 @@ let pick_tier tiers ~span =
   let n = Array.length tiers in
   let rec go i =
     if i >= n - 1 then tiers.(n - 1)
-    else if tiers.(i).t_step *. float_of_int tiers.(i).t_cap >= span then
+    else if
+      tiers.(i).t_step
+      *. float_of_int (Bounded_ring.capacity tiers.(i).t_points)
+      >= span
+    then
       tiers.(i)
     else go (i + 1)
   in
@@ -154,7 +150,7 @@ let query t ~metric ?since ~now () =
             (fun p ->
               let bucket_end = float_of_int (p.p_bucket + 1) *. tier.t_step in
               if bucket_end > since then Some (sample_of tier p) else None)
-            (List.rev tier.t_points))
+            (Bounded_ring.to_list tier.t_points))
 
 let avg t ~metric ~window ~now =
   let samples = query t ~metric ~since:(now -. window) ~now () in
@@ -169,109 +165,78 @@ let latest t ~metric =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.series metric with
       | None -> None
-      | Some tiers -> (
-          match tiers.(0).t_points with
-          | p :: _ -> Some p.p_last
-          | [] -> None))
+      | Some tiers ->
+          Option.map
+            (fun p -> p.p_last)
+            (Bounded_ring.newest tiers.(0).t_points))
 
 (* ---- rendering / parsing ----
 
-   Same idiom as the telemetry ledger: space-delimited lines, hex
-   floats so parse ∘ render is the identity, an [end] trailer so a
-   torn file is detectable. The series name is the LAST field and may
-   contain spaces (rendered label values can), so parsing rejoins the
-   tail:
+   Same {!Line_file} format as the telemetry ledger, hex floats so
+   parse ∘ render is the identity. The series name is the LAST field
+   and may contain spaces (rendered label values can), so parsing
+   rejoins the tail:
 
      timeseries 1
      conf <step %h> <cap>
      m <tier> <bucket> <count> <sum %h> <min %h> <max %h> <last %h> <name>
      end *)
 
-let fh = Printf.sprintf "%h"
+let hex = Line_file.hex
 
 let render t =
   with_lock t (fun () ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "timeseries 1\n";
-      Buffer.add_string buf (Printf.sprintf "conf %s %d\n" (fh t.step) t.cap);
       let names =
         Hashtbl.fold (fun name _ acc -> name :: acc) t.series []
         |> List.sort compare
       in
-      List.iter
-        (fun name ->
-          let tiers = Hashtbl.find t.series name in
-          Array.iteri
-            (fun ti tier ->
-              List.iter
-                (fun p ->
-                  Buffer.add_string buf
-                    (Printf.sprintf "m %d %d %d %s %s %s %s %s\n" ti p.p_bucket
-                       p.p_count (fh p.p_sum) (fh p.p_min) (fh p.p_max)
-                       (fh p.p_last) name))
-                (List.rev tier.t_points))
-            tiers)
-        names;
-      Buffer.add_string buf "end\n";
-      Buffer.contents buf)
+      let series name =
+        Array.to_list (Hashtbl.find t.series name)
+        |> List.mapi (fun ti tier ->
+               List.map
+                 (fun p ->
+                   Printf.sprintf "m %d %d %d %s %s %s %s %s" ti p.p_bucket
+                     p.p_count (hex p.p_sum) (hex p.p_min) (hex p.p_max)
+                     (hex p.p_last) name)
+                 (Bounded_ring.to_list tier.t_points))
+        |> List.concat
+      in
+      Line_file.render ~magic:"timeseries"
+        (Printf.sprintf "conf %s %d" (hex t.step) t.cap
+        :: List.concat_map series names))
 
 let parse content =
-  let fail msg = Error (Printf.sprintf "corrupt timeseries ledger: %s" msg) in
-  let ( let* ) = Result.bind in
-  let int s = Option.to_result ~none:() (int_of_string_opt s) in
-  let flt s = Option.to_result ~none:() (float_of_string_opt s) in
+  let open Line_file in
   let t = ref (create ~step:1.0 ()) in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "timeseries" :: _ -> Ok ()
-      | [ "conf"; s; c ] -> (
-          match (flt s, int c) with
-          | Ok s, Ok c when s > 0.0 && c >= 1 ->
-              t := create ~step:s ~cap:c ();
-              Ok ()
-          | _ -> fail "bad conf line")
-      | "m" :: ti :: bucket :: count :: sum :: mn :: mx :: last :: name_parts
-        -> (
-          let name = String.concat " " name_parts in
-          match (int ti, int bucket, int count, flt sum, flt mn, flt mx, flt last)
-          with
-          | Ok ti, Ok bucket, Ok count, Ok sum, Ok mn, Ok mx, Ok last
-            when name <> "" && ti >= 0 && ti < Array.length tier_multipliers
-                 && count >= 1 ->
-              let tiers =
-                match Hashtbl.find_opt !t.series name with
-                | Some tiers -> tiers
-                | None ->
-                    let tiers = mk_tiers !t in
-                    Hashtbl.add !t.series name tiers;
-                    tiers
-              in
-              let tier = tiers.(ti) in
-              (* file order is oldest first; pushing keeps newest first *)
-              tier.t_points <-
-                { p_bucket = bucket; p_count = count; p_sum = sum; p_min = mn;
-                  p_max = mx; p_last = last }
-                :: tier.t_points;
-              trim tier;
-              Ok ()
-          | _ -> fail "bad point line")
-      | _ -> fail ("unknown line: " ^ line)
-  in
-  let rec body acc = function
-    | [] -> fail "truncated ledger (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
-  in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok !t
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
-  in
-  go lines
+  Result.map (fun () -> !t)
+  @@ parse ~magic:"timeseries" ~what:"timeseries ledger" content (function
+       | [ "conf"; s; c ] ->
+           let s = float s and c = int c in
+           if not (s > 0.0 && c >= 1) then bad "bad conf line";
+           t := create ~step:s ~cap:c ()
+       | "m" :: ti :: bucket :: count :: sum :: mn :: mx :: last :: name_parts
+         ->
+           let name = String.concat " " name_parts and ti = int ti in
+           let p =
+             { p_bucket = int bucket; p_count = int count; p_sum = float sum;
+               p_min = float mn; p_max = float mx; p_last = float last }
+           in
+           if
+             name = "" || ti < 0
+             || ti >= Array.length tier_multipliers
+             || p.p_count < 1
+           then bad "bad point line";
+           let tiers =
+             match Hashtbl.find_opt !t.series name with
+             | Some tiers -> tiers
+             | None ->
+                 let tiers = mk_tiers !t in
+                 Hashtbl.add !t.series name tiers;
+                 tiers
+           in
+           (* file order is oldest first *)
+           Bounded_ring.push tiers.(ti).t_points p
+       | _ -> bad "unknown line")
 
 let equal a b = render a = render b
 

@@ -63,12 +63,14 @@ val latest : t -> metric:string -> float option
 (** The newest recorded value of a series, if any. *)
 
 val render : t -> string
-(** Deterministic text form (hex floats, series sorted by name,
-    buckets oldest-first, [end] trailer). *)
+(** Deterministic {!Line_file} text ([timeseries 1] header, hex
+    floats, series sorted by name, buckets oldest-first, [end]
+    trailer). *)
 
 val parse : string -> (t, string) result
-(** Inverse of {!render}; any malformed or truncated input is an
-    [Error] so a torn file is detected, never half-adopted. *)
+(** Inverse of {!render}; a missing or foreign header and any
+    malformed or truncated input are an [Error], so a torn file is
+    detected, never half-adopted. *)
 
 val equal : t -> t -> bool
 

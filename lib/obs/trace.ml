@@ -53,15 +53,10 @@ let env_capacity =
 
 let mutex = Mutex.create ()
 
-(* lint: mutable-ok bounded ring of completed spans; writes take
-   [mutex] above, and nothing ever reads it to make a decision *)
-let ring : span option array ref = ref (Array.make env_capacity None)
-
-(* lint: mutable-ok ring cursor + total counter, same mutex *)
-let cursor = ref 0
-
-(* lint: mutable-ok same ring bookkeeping *)
-let recorded = ref 0
+(* lint: mutable-ok the completed-span ring, replaced by
+   [set_capacity]; every access takes [mutex] above, and nothing ever
+   reads it to make a decision *)
+let ring = ref (Bounded_ring.create env_capacity)
 
 let next_id = Atomic.make 1
 
@@ -71,24 +66,16 @@ let with_lock f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let capacity () = with_lock (fun () -> Array.length !ring)
+let capacity () = with_lock (fun () -> Bounded_ring.capacity !ring)
 
 let set_capacity n =
   if n < min_capacity || n > max_capacity then
     invalid_arg
       (Printf.sprintf "Trace.set_capacity: %d outside [%d, %d]" n min_capacity
          max_capacity);
-  with_lock (fun () ->
-      ring := Array.make n None;
-      cursor := 0;
-      recorded := 0)
+  with_lock (fun () -> ring := Bounded_ring.create n)
 
-let record s =
-  with_lock (fun () ->
-      let ring = !ring in
-      ring.(!cursor) <- Some s;
-      cursor := (!cursor + 1) mod Array.length ring;
-      incr recorded)
+let record s = with_lock (fun () -> Bounded_ring.push !ring s)
 
 let current_id () =
   if not (Obs.enabled ()) then None
@@ -168,24 +155,9 @@ let with_parent parent f =
     Fun.protect ~finally:(fun () -> stack := saved) f
   end
 
-let spans () =
-  with_lock (fun () ->
-      let ring = !ring in
-      let capacity = Array.length ring in
-      let n = min !recorded capacity in
-      let first = if !recorded <= capacity then 0 else !cursor in
-      List.init n (fun i ->
-          match ring.((first + i) mod capacity) with
-          | Some s -> s
-          | None -> assert false))
-
-let span_count () = with_lock (fun () -> !recorded)
-
-let reset () =
-  with_lock (fun () ->
-      Array.fill !ring 0 (Array.length !ring) None;
-      cursor := 0;
-      recorded := 0)
+let spans () = with_lock (fun () -> Bounded_ring.to_list !ring)
+let span_count () = with_lock (fun () -> Bounded_ring.pushed !ring)
+let reset () = with_lock (fun () -> Bounded_ring.clear !ring)
 
 (* ---- Chrome trace_event ---- *)
 

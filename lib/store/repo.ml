@@ -10,6 +10,7 @@ module Obs = Versioning_obs.Obs
 module Telemetry = Versioning_obs.Telemetry
 module Timeseries = Versioning_obs.Timeseries
 module Context = Versioning_obs.Context
+module Line_file = Versioning_obs.Line_file
 
 let log_src = Logs.Src.create "dsvc.repo" ~doc:"Repository store"
 
@@ -236,80 +237,63 @@ let release_lock path =
           Hashtbl.remove lock_table key
       | _ -> ())
 
-(* ---- telemetry ledger persistence ----
+(* ---- telemetry and time-series persistence ----
 
-   The access ledger lives beside the metadata (.dsvc/telemetry) and
-   accumulates across sessions: [open] merges whatever a previous
-   session persisted into the fresh in-memory ledger, and [close]
-   writes the union back — but only when the Obs gate is on, so an
-   un-instrumented run performs no extra I/O whatsoever. A torn or
-   corrupt ledger is ignored (telemetry must never make a repository
-   unopenable). *)
+   Two observability files live beside the metadata: the access
+   ledger (.dsvc/telemetry) and the metrics time-series
+   (.dsvc/timeseries). [open] loads them: a prior session's ledger is
+   merged into the fresh in-memory one, so counts accumulate across
+   sessions, while a loaded time-series replaces the fresh empty one
+   wholesale (its rings are bounded, so a union would double-count
+   buckets). [close] writes them back, each atomically at its own
+   fault site, but only while the Obs gate is on, so an
+   un-instrumented run performs no extra I/O. A torn or corrupt file
+   is ignored: observability must never make a repository
+   unopenable. *)
 
 let telemetry t = t.telemetry
-
-let load_telemetry t =
-  if Sys.file_exists (telemetry_file t.root) then
-    match Fsutil.read_file (telemetry_file t.root) with
-    | Error _ -> ()
-    | Ok content -> (
-        match Telemetry.parse content with
-        | Ok ledger -> t.telemetry <- Telemetry.merge t.telemetry ledger
-        | Error e ->
-            Log.warn (fun m ->
-                m "ignoring unreadable telemetry ledger: %s" e))
-
-let flush_telemetry t =
-  if Telemetry.is_empty t.telemetry then Ok ()
-  else
-    match
-      Fsutil.write_file_atomic ~site:"telemetry.save" (telemetry_file t.root)
-        (Telemetry.render t.telemetry)
-    with
-    | Ok () ->
-        t.telemetry_dirty <- false;
-        Ok ()
-    | Error _ as e -> e
-
-(* ---- metrics time-series persistence ----
-
-   Same contract as the telemetry ledger: a .dsvc/timeseries file
-   beside the metadata, written atomically at its own fault site,
-   ignored when torn or corrupt (observability must never make a
-   repository unopenable). Unlike telemetry there is no merge — a
-   loaded ring replaces the fresh empty one wholesale; the rings are
-   bounded so a union would just double-count buckets. *)
-
 let timeseries t = t.timeseries
 
-let load_timeseries t =
-  if Sys.file_exists (timeseries_file t.root) then
-    match Fsutil.read_file (timeseries_file t.root) with
-    | Error _ -> ()
-    | Ok content -> (
-        match Timeseries.parse content with
-        | Ok ts -> t.timeseries <- ts
-        | Error e ->
-            Log.warn (fun m ->
-                m "ignoring unreadable timeseries ledger: %s" e))
+let load_ledgers t =
+  let load file what parse adopt =
+    if Sys.file_exists (file t.root) then
+      match Fsutil.read_file (file t.root) with
+      | Error _ -> ()
+      | Ok content -> (
+          match parse content with
+          | Ok v -> adopt v
+          | Error e ->
+              Log.warn (fun m -> m "ignoring unreadable %s: %s" what e))
+  in
+  load telemetry_file "telemetry ledger" Telemetry.parse (fun ledger ->
+      t.telemetry <- Telemetry.merge t.telemetry ledger);
+  load timeseries_file "timeseries ledger" Timeseries.parse (fun ts ->
+      t.timeseries <- ts)
 
-let flush_timeseries t =
-  if Timeseries.is_empty t.timeseries then Ok ()
-  else
-    Fsutil.write_file_atomic ~site:"timeseries.save" (timeseries_file t.root)
-      (Timeseries.render t.timeseries)
+let flush_ledgers t =
+  let telemetry =
+    if not t.telemetry_dirty then Ok ()
+    else
+      let r =
+        Fsutil.write_file_atomic ~site:"telemetry.save" (telemetry_file t.root)
+          (Telemetry.render t.telemetry)
+      in
+      if Result.is_ok r then t.telemetry_dirty <- false;
+      r
+  in
+  let timeseries =
+    if Timeseries.is_empty t.timeseries then Ok ()
+    else
+      Fsutil.write_file_atomic ~site:"timeseries.save" (timeseries_file t.root)
+        (Timeseries.render t.timeseries)
+  in
+  Result.bind telemetry (fun () -> timeseries)
 
 let close t =
-  if t.telemetry_dirty && Obs.enabled () then
-    (match flush_telemetry t with
+  if Obs.enabled () then
+    (match flush_ledgers t with
     | Ok () -> ()
-    | Error e ->
-        Log.warn (fun m -> m "telemetry ledger not persisted: %s" e));
-  if Obs.enabled () && not (Timeseries.is_empty t.timeseries) then
-    (match flush_timeseries t with
-    | Ok () -> ()
-    | Error e ->
-        Log.warn (fun m -> m "timeseries ledger not persisted: %s" e));
+    | Error e -> Log.warn (fun m -> m "ledgers not persisted: %s" e));
   release_lock t.root
 
 (* ---- reference-name validation ----
@@ -357,45 +341,44 @@ let restore t ((commits, stored, branches, tags, head, next, gen) : snapshot) =
 
 (* ---- metadata persistence ---- *)
 
+(* One [stored] entry, "<id> full <digest>" or "<id> delta <parent>
+   <digest>": the metadata's [stored] lines and the journal's
+   [old]/[new] lines carry the same fields. *)
+let stored_fields id = function
+  | Full digest -> Printf.sprintf "%d full %s" id digest
+  | Delta_from (p, digest) -> Printf.sprintf "%d delta %d %s" id p digest
+
+let add_stored tbl = function
+  | [ id; "full"; digest ] ->
+      Hashtbl.replace tbl (Line_file.int id) (Full digest)
+  | [ id; "delta"; p; digest ] ->
+      Hashtbl.replace tbl (Line_file.int id)
+        (Delta_from (Line_file.int p, digest))
+  | _ -> Line_file.bad "bad stored entry"
+
+let render_stored prefix tbl =
+  Hashtbl.fold
+    (fun id s acc -> (prefix ^ " " ^ stored_fields id s) :: acc)
+    tbl []
+
 let render_meta t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "dsvc 1\n";
-  Buffer.add_string buf (Printf.sprintf "head %s\n" t.head_branch);
-  Buffer.add_string buf (Printf.sprintf "next %d\n" t.next_id);
-  if t.generation > 0 then
-    Buffer.add_string buf (Printf.sprintf "gen %d\n" t.generation);
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf "branch %s %d\n" name v))
-    t.branches;
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf "tag %s %d\n" name v))
-    t.tag_list;
-  List.iter
-    (fun c ->
-      let parents =
-        match c.parents with
-        | [] -> "-"
-        | ps -> String.concat "," (List.map string_of_int ps)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "version %d %.6f %s %s\n" c.id c.timestamp parents
-           (String.escaped c.message)))
-    t.commits;
-  Hashtbl.iter
-    (fun id s ->
-      match s with
-      | Full digest ->
-          Buffer.add_string buf (Printf.sprintf "stored %d full %s\n" id digest)
-      | Delta_from (p, digest) ->
-          Buffer.add_string buf
-            (Printf.sprintf "stored %d delta %d %s\n" id p digest))
-    t.stored;
-  (* the trailer lets [load] tell a truncated (torn) file from a
-     complete one *)
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  let version c =
+    let parents =
+      match c.parents with
+      | [] -> "-"
+      | ps -> String.concat "," (List.map string_of_int ps)
+    in
+    Printf.sprintf "version %d %.6f %s %s" c.id c.timestamp parents
+      (String.escaped c.message)
+  in
+  Line_file.render ~magic:"dsvc"
+    ((("head " ^ t.head_branch) :: Printf.sprintf "next %d" t.next_id
+     :: (if t.generation > 0 then [ Printf.sprintf "gen %d" t.generation ]
+         else []))
+    @ List.map (fun (n, v) -> Printf.sprintf "branch %s %d" n v) t.branches
+    @ List.map (fun (n, v) -> Printf.sprintf "tag %s %d" n v) t.tag_list
+    @ List.map version t.commits
+    @ render_stored "stored" t.stored)
 
 let save t =
   t.generation <- t.generation + 1;
@@ -420,94 +403,32 @@ let parse_meta path store content =
     mk_repo ~root:path ~store ~commits:[] ~stored:(Hashtbl.create 64)
       ~branches:[] ~tag_list:[] ~head_branch:"main" ~next_id:1
   in
-  let fail msg = Error (Printf.sprintf "corrupt repository metadata: %s" msg) in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "dsvc" :: _ -> Ok ()
-      | [ "head"; name ] ->
-          t.head_branch <- name;
-          Ok ()
-      | [ "next"; n ] -> (
-          match int_of_string_opt n with
-          | Some n ->
-              t.next_id <- n;
-              Ok ()
-          | None -> fail "bad next id")
-      | [ "gen"; n ] -> (
-          (* absent in pre-cluster metadata: generation stays 0 *)
-          match int_of_string_opt n with
-          | Some n ->
-              t.generation <- n;
-              Ok ()
-          | None -> fail "bad generation")
-      | [ "branch"; name; v ] -> (
-          match int_of_string_opt v with
-          | Some v ->
-              t.branches <- t.branches @ [ (name, v) ];
-              Ok ()
-          | None -> fail "bad branch head")
-      | [ "tag"; name; v ] -> (
-          match int_of_string_opt v with
-          | Some v ->
-              t.tag_list <- t.tag_list @ [ (name, v) ];
-              Ok ()
-          | None -> fail "bad tag target")
-      | "version" :: id :: ts :: parents :: msg_parts -> (
-          match (int_of_string_opt id, float_of_string_opt ts) with
-          | Some id, Some timestamp -> (
-              let message =
-                try Scanf.unescaped (String.concat " " msg_parts)
-                with Scanf.Scan_failure _ -> String.concat " " msg_parts
-              in
-              match
-                if parents = "-" then Ok []
-                else
-                  String.split_on_char ',' parents
-                  |> List.map int_of_string_opt
-                  |> List.fold_left
-                       (fun acc p ->
-                         match (acc, p) with
-                         | Ok acc, Some p -> Ok (acc @ [ p ])
-                         | _ -> Error ())
-                       (Ok [])
-              with
-              | Ok parents ->
-                  t.commits <-
-                    t.commits @ [ { id; parents; message; timestamp } ];
-                  Ok ()
-              | Error () -> fail "bad parent list")
-          | _ -> fail "bad version line")
-      | [ "stored"; id; "full"; digest ] -> (
-          match int_of_string_opt id with
-          | Some id ->
-              Hashtbl.replace t.stored id (Full digest);
-              Ok ()
-          | None -> fail "bad stored line")
-      | [ "stored"; id; "delta"; p; digest ] -> (
-          match (int_of_string_opt id, int_of_string_opt p) with
-          | Some id, Some p ->
-              Hashtbl.replace t.stored id (Delta_from (p, digest));
-              Ok ()
-          | _ -> fail "bad stored line")
-      | _ -> fail ("unknown line: " ^ line)
+  let* () =
+    Line_file.parse ~magic:"dsvc" ~what:"repository metadata" content (function
+      | [ "head"; name ] -> t.head_branch <- name
+      | [ "next"; n ] -> t.next_id <- Line_file.int n
+      (* absent in pre-cluster metadata: generation stays 0 *)
+      | [ "gen"; n ] -> t.generation <- Line_file.int n
+      | [ "branch"; name; v ] ->
+          t.branches <- t.branches @ [ (name, Line_file.int v) ]
+      | [ "tag"; name; v ] ->
+          t.tag_list <- t.tag_list @ [ (name, Line_file.int v) ]
+      | "version" :: id :: ts :: parents :: msg_parts ->
+          let message =
+            try Scanf.unescaped (String.concat " " msg_parts)
+            with Scanf.Scan_failure _ -> String.concat " " msg_parts
+          in
+          let parents =
+            if parents = "-" then []
+            else List.map Line_file.int (String.split_on_char ',' parents)
+          in
+          t.commits <-
+            { id = Line_file.int id; parents; message;
+              timestamp = Line_file.float ts }
+            :: t.commits
+      | "stored" :: entry -> add_stored t.stored entry
+      | _ -> Line_file.bad "unknown line")
   in
-  (* Split off the "end" trailer: its absence means the file was
-     truncated mid-write. *)
-  let rec body acc = function
-    | [] -> fail "truncated metadata (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
-  in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok ()
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
-  in
-  let* () = go lines in
   (* Newest first. *)
   t.commits <- List.sort (fun a b -> compare b.id a.id) t.commits;
   Ok t
@@ -701,58 +622,18 @@ let check_all_versions t =
 
 (* ---- journal (two-phase optimize) ---- *)
 
-let stored_line prefix id s =
-  match s with
-  | Full d -> Printf.sprintf "%s %d full %s\n" prefix id d
-  | Delta_from (p, d) -> Printf.sprintf "%s %d delta %d %s\n" prefix id p d
-
 let write_journal t ~old_map ~new_map =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "journal 1\n";
-  Hashtbl.iter (fun id s -> Buffer.add_string buf (stored_line "old" id s)) old_map;
-  Hashtbl.iter (fun id s -> Buffer.add_string buf (stored_line "new" id s)) new_map;
-  Buffer.add_string buf "end\n";
   Fsutil.write_file_atomic ~site:"repo.journal" (journal_file t.root)
-    (Buffer.contents buf)
+    (Line_file.render ~magic:"journal"
+       (render_stored "old" old_map @ render_stored "new" new_map))
 
 let parse_journal content =
   let old_map = Hashtbl.create 64 and new_map = Hashtbl.create 64 in
-  let fail msg = Error (Printf.sprintf "corrupt journal: %s" msg) in
-  let entry tbl id kind rest =
-    match (int_of_string_opt id, kind, rest) with
-    | Some id, "full", [ d ] ->
-        Hashtbl.replace tbl id (Full d);
-        Ok ()
-    | Some id, "delta", [ p; d ] -> (
-        match int_of_string_opt p with
-        | Some p ->
-            Hashtbl.replace tbl id (Delta_from (p, d));
-            Ok ()
-        | None -> fail "bad delta parent")
-    | _ -> fail "bad stored entry"
-  in
-  let parse_line line =
-    if line = "" then Ok ()
-    else
-      match String.split_on_char ' ' line with
-      | "journal" :: _ -> Ok ()
-      | "old" :: id :: kind :: rest -> entry old_map id kind rest
-      | "new" :: id :: kind :: rest -> entry new_map id kind rest
-      | _ -> fail ("unknown line: " ^ line)
-  in
-  let rec body acc = function
-    | [] -> fail "truncated (missing end marker)"
-    | "end" :: rest ->
-        if List.for_all (fun l -> l = "") rest then Ok (List.rev acc)
-        else fail "content after end marker"
-    | l :: rest -> body (l :: acc) rest
-  in
-  let* lines = body [] (String.split_on_char '\n' content) in
-  let rec go = function
-    | [] -> Ok (old_map, new_map)
-    | l :: tl -> ( match parse_line l with Ok () -> go tl | Error _ as e -> e)
-  in
-  go lines
+  Result.map (fun () -> (old_map, new_map))
+  @@ Line_file.parse ~magic:"journal" ~what:"journal" content (function
+       | "old" :: entry -> add_stored old_map entry
+       | "new" :: entry -> add_stored new_map entry
+       | _ -> Line_file.bad "unknown line")
 
 let remove_journal t =
   try Sys.remove (journal_file t.root) with Sys_error _ -> ()
@@ -886,8 +767,7 @@ let open_opt store ~path =
     let* store = resolve_store store path in
     let* t = load path store in
     let* _outcome = recover_journal t in
-    load_telemetry t;
-    load_timeseries t;
+    load_ledgers t;
     Ok t
 
 let open_repo ~path = open_opt None ~path

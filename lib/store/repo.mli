@@ -90,8 +90,10 @@ val object_store : t -> Object_store.t
 (** The store this handle reads and writes blobs through. *)
 
 val close : t -> unit
-(** Release the repository lock. The handle must not be used after.
-    (The lock is also released when the process exits.) *)
+(** Persist the observability ledgers while the Obs gate is on (see
+    {!flush_ledgers}; a failure is logged, not raised), then release
+    the repository lock. The handle must not be used after. (The lock
+    is also released when the process exits.) *)
 
 val root : t -> string
 
@@ -250,23 +252,21 @@ val telemetry : t -> Versioning_obs.Telemetry.t
 (** The handle's per-version access ledger. Checkouts are counted
     unconditionally (clock-free); recreation costs are observed only
     while [Obs.enabled]. Loaded from [.dsvc/telemetry] at open and
-    merged across sessions; persisted at {!close} when the gate is
-    on. *)
-
-val flush_telemetry : t -> (unit, string) result
-(** Persist the ledger now ([Fsutil.write_file_atomic
-    ~site:"telemetry.save"]). No-op on an empty ledger. *)
+    merged across sessions (a corrupt file is ignored). *)
 
 val timeseries : t -> Versioning_obs.Timeseries.t
 (** The handle's metrics time-series ring (DESIGN.md §16), fed by the
     server's reactor sampler. Loaded from [.dsvc/timeseries] at open
     (a readable file replaces the fresh ring; a corrupt one is
-    ignored); persisted at {!close} when the Obs gate is on and the
-    ring is non-empty — with the gate off the file is never written. *)
+    ignored). *)
 
-val flush_timeseries : t -> (unit, string) result
-(** Persist the ring now ([Fsutil.write_file_atomic
-    ~site:"timeseries.save"]). No-op on an empty ring. *)
+val flush_ledgers : t -> (unit, string) result
+(** Persist the telemetry ledger, if it changed since the last flush
+    ([Fsutil.write_file_atomic ~site:"telemetry.save"]), and the
+    time-series ring, if non-empty ([~site:"timeseries.save"]). Both
+    writes are attempted; the first failure is returned. {!close}
+    calls this while the Obs gate is on; with the gate off neither
+    file is ever written. *)
 
 val predicted_costs : t -> (int * float) list
 (** The current plan's per-version recreation cost in stored bytes

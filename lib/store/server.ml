@@ -6,6 +6,7 @@ module Metrics = Versioning_obs.Metrics
 module Trace = Versioning_obs.Trace
 module Context = Versioning_obs.Context
 module Flight = Versioning_obs.Flight
+module Bounded_ring = Versioning_obs.Bounded_ring
 module Timeseries = Versioning_obs.Timeseries
 module Alerts = Versioning_obs.Alerts
 module Sampler = Versioning_obs.Sampler
@@ -76,34 +77,24 @@ let recent_capacity = 64
 
 let recent_mutex = Mutex.create ()
 
-(* lint: mutable-ok bounded ring of recent request summaries; writes
-   take [recent_mutex], read only by the /trace debug endpoint *)
-let recent_ring : recent_request option array = Array.make recent_capacity None
-
-(* lint: mutable-ok ring cursor, same mutex *)
-let recent_cursor = ref 0
+(* every access takes [recent_mutex]; read only by the /trace debug
+   endpoint *)
+let recent_ring : recent_request Bounded_ring.t =
+  Bounded_ring.create recent_capacity
 
 let with_recent_lock f =
   Mutex.lock recent_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock recent_mutex) f
 
 let remember_request r =
-  with_recent_lock (fun () ->
-      recent_ring.(!recent_cursor) <- Some r;
-      recent_cursor := (!recent_cursor + 1) mod recent_capacity)
+  with_recent_lock (fun () -> Bounded_ring.push recent_ring r)
 
+(* the newest request with that id wins *)
 let find_recent_request rid =
   with_recent_lock (fun () ->
-      (* newest first: walk backwards from the cursor *)
-      let rec go i n =
-        if n >= recent_capacity then None
-        else
-          let idx = (i + recent_capacity) mod recent_capacity in
-          match recent_ring.(idx) with
-          | Some r when r.r_request = rid -> Some r
-          | _ -> go (idx - 1) (n + 1)
-      in
-      go (!recent_cursor - 1) 0)
+      List.find_opt
+        (fun r -> r.r_request = rid)
+        (List.rev (Bounded_ring.to_list recent_ring)))
 
 let recent_request_body r =
   let b = Buffer.create 256 in
@@ -968,12 +959,11 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
                      probe_cluster ();
                      if flush then
                        match
-                         with_repo_lock (fun () -> Repo.flush_timeseries repo)
+                         with_repo_lock (fun () -> Repo.flush_ledgers repo)
                        with
                        | Ok () -> ()
                        | Error e ->
-                           Log.warn (fun m ->
-                               m "timeseries ring not persisted: %s" e)
+                           Log.warn (fun m -> m "ledgers not persisted: %s" e)
                    with e ->
                      (* lint: swallow-ok a failed probe costs one
                         sample, never the server *)

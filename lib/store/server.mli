@@ -131,10 +131,10 @@ val serve :
     closed; one idle {e between} requests for [idle_timeout]
     ([DSVC_IDLE_TIMEOUT] or 5) seconds is closed silently.
 
-    [backend] pins the reactor poller ("epoll", "poll", "select");
-    unset, [DSVC_EVLOOP] / auto-detection decide as documented in
+    [backend] pins the reactor poller ("epoll" or "poll"); unset,
+    [DSVC_EVLOOP] / auto-detection decide as documented in
     {!Versioning_util.Evloop.create}. The backend-matrix tests use it
-    to assert the three backends agree on observable behavior.
+    to assert the two backends agree on observable behavior.
 
     SIGINT/SIGTERM request a graceful shutdown (in-flight work
     finishes, the listening socket closes, previous signal handlers

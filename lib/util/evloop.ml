@@ -4,12 +4,11 @@
    that thread. Other threads talk to the loop only through [post],
    which enqueues a job and wakes the poller via a self-pipe.
 
-   Three interchangeable poller backends sit behind the same table of
+   Two interchangeable poller backends sit behind the same table of
    registered fds: epoll(7) where the platform has it (persistent
-   interest set, O(ready) per wait), poll(2) as the portable default
-   (no FD_SETSIZE ceiling), and select(2) as a pure-stdlib reference
-   backend kept around so the equivalence is testable. DSVC_EVLOOP
-   picks explicitly; "auto" prefers epoll, then poll. *)
+   interest set, O(ready) per wait), and poll(2) as the portable
+   default (no FD_SETSIZE ceiling). DSVC_EVLOOP picks explicitly;
+   "auto" prefers epoll, then poll. *)
 
 external has_epoll : unit -> bool = "dsvc_has_epoll"
 external fd_int : Unix.file_descr -> int = "dsvc_fd_int"
@@ -33,14 +32,13 @@ let ev_write = 2
 type event = [ `Read | `Write ]
 
 type entry = {
-  e_fd : Unix.file_descr;
   e_num : int;
   mutable e_read : bool;
   mutable e_write : bool;
   e_cb : event -> unit;
 }
 
-type backend = Epoll of Unix.file_descr | Poll | Select
+type backend = Epoll of Unix.file_descr | Poll
 
 type timer = {
   tm_period : float;
@@ -61,7 +59,7 @@ type t = {
 }
 
 let backend_name t =
-  match t.backend with Epoll _ -> "epoll" | Poll -> "poll" | Select -> "select"
+  match t.backend with Epoll _ -> "epoll" | Poll -> "poll"
 
 let bits_of entry =
   (if entry.e_read then ev_read else 0)
@@ -72,7 +70,6 @@ let ctl_check what rc =
     failwith (Printf.sprintf "Evloop.%s: epoll_ctl failed (errno %d)" what (-rc))
 
 let choose_backend = function
-  | Some "select" -> Select
   | Some "poll" -> Poll
   | Some "epoll" | Some "auto" | Some "" | None ->
       if has_epoll () then begin
@@ -83,7 +80,7 @@ let choose_backend = function
   | Some other ->
       failwith
         (Printf.sprintf
-           "DSVC_EVLOOP=%s: expected auto, epoll, poll, or select" other)
+           "DSVC_EVLOOP=%s: expected auto, epoll, or poll" other)
 
 let create ?backend () =
   let backend =
@@ -122,23 +119,22 @@ let create ?backend () =
     go ()
   in
   let entry =
-    { e_fd = wake_r; e_num = fd_int wake_r; e_read = true; e_write = false;
-      e_cb = drain }
+    { e_num = fd_int wake_r; e_read = true; e_write = false; e_cb = drain }
   in
   Hashtbl.replace t.table entry.e_num entry;
   (match backend with
   | Epoll ep -> ctl_check "create" (epoll_ctl ep 0 wake_r ev_read)
-  | Poll | Select -> ());
+  | Poll -> ());
   t
 
 let add t fd ~read ~write cb =
   let entry =
-    { e_fd = fd; e_num = fd_int fd; e_read = read; e_write = write; e_cb = cb }
+    { e_num = fd_int fd; e_read = read; e_write = write; e_cb = cb }
   in
   Hashtbl.replace t.table entry.e_num entry;
   match t.backend with
   | Epoll ep -> ctl_check "add" (epoll_ctl ep 0 fd (bits_of entry))
-  | Poll | Select -> ()
+  | Poll -> ()
 
 let modify t fd ~read ~write =
   match Hashtbl.find_opt t.table (fd_int fd) with
@@ -149,7 +145,7 @@ let modify t fd ~read ~write =
         entry.e_write <- write;
         match t.backend with
         | Epoll ep -> ctl_check "modify" (epoll_ctl ep 1 fd (bits_of entry))
-        | Poll | Select -> ()
+        | Poll -> ()
       end
 
 let remove t fd =
@@ -161,7 +157,7 @@ let remove t fd =
         (* Best effort: a descriptor closed before deregistration has
            already left the epoll set. *)
         ignore (epoll_ctl ep 2 fd 0)
-    | Poll | Select -> ()
+    | Poll -> ()
   end
 
 let post t job =
@@ -282,32 +278,7 @@ let wait t ~timeout =
       let res = raw_poll fds bits (timeout_ms timeout) in
       Array.iteri
         (fun i r -> if r <> 0 then dispatched := !dispatched + dispatch t arr.(i) r)
-        res
-  | Select ->
-      let rd, wr =
-        Hashtbl.fold
-          (fun _ e (rd, wr) ->
-            ( (if e.e_read then (e.e_fd, e) :: rd else rd),
-              if e.e_write then (e.e_fd, e) :: wr else wr ))
-          t.table ([], [])
-      in
-      let readable, writable, _ =
-        match Unix.select (List.map fst rd) (List.map fst wr) [] timeout with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      List.iter
-        (fun fd ->
-          match List.assq_opt fd rd with
-          | Some e -> dispatched := !dispatched + dispatch t e ev_read
-          | None -> ())
-        readable;
-      List.iter
-        (fun fd ->
-          match List.assq_opt fd wr with
-          | Some e -> dispatched := !dispatched + dispatch t e ev_write
-          | None -> ())
-        writable);
+        res);
   dispatched := !dispatched + run_due_timers t;
   dispatched := !dispatched + run_jobs t;
   !dispatched
@@ -318,7 +289,7 @@ let close t =
     (match t.backend with
     | Epoll ep -> (
         match Unix.close ep with () -> () | exception Unix.Unix_error _ -> ())
-    | Poll | Select -> ());
+    | Poll -> ());
     List.iter
       (fun fd ->
         match Unix.close fd with

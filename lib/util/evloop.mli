@@ -1,18 +1,16 @@
 (** Readiness reactor for the event-driven server (DESIGN.md §13).
 
     A loop is a table of registered file descriptors with per-fd
-    read/write interest and a callback, behind one of three poller
+    read/write interest and a callback, behind one of two poller
     backends selected at creation time:
 
     - ["epoll"] — Linux epoll(7): persistent kernel interest set,
       O(ready) waits; the fast path where available.
-    - ["poll"] — poll(2) via a small C stub: the portable default; no
-      FD_SETSIZE ceiling on descriptor numbers.
-    - ["select"] — pure-stdlib [Unix.select]: reference backend, kept
-      so backend-equivalence stays testable (fds must stay below
-      FD_SETSIZE).
+    - ["poll"] — poll(2) via a small C stub: the portable default and
+      the only backend off Linux; no FD_SETSIZE ceiling on descriptor
+      numbers.
 
-    [DSVC_EVLOOP] (auto | epoll | poll | select) chooses when the
+    [DSVC_EVLOOP] (auto | epoll | poll) chooses when the
     creator passes no explicit backend; "auto" prefers epoll, then
     poll.
 
@@ -34,7 +32,7 @@ val has_epoll : unit -> bool
     failing on it. *)
 
 val backend_name : t -> string
-(** ["epoll"], ["poll"], or ["select"] — whatever creation resolved. *)
+(** ["epoll"] or ["poll"] — whatever creation resolved. *)
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> (event -> unit) -> unit
 (** Register [fd]. The callback fires on the loop thread whenever the

@@ -398,7 +398,7 @@ let probe_backend backend =
 
 let test_backend_matrix () =
   let backends =
-    [ "select"; "poll" ] @ (if Evloop.has_epoll () then [ "epoll" ] else [])
+    "poll" :: (if Evloop.has_epoll () then [ "epoll" ] else [])
   in
   List.iter
     (fun backend ->

@@ -8,6 +8,7 @@ module Metrics = Versioning_obs.Metrics
 module Trace = Versioning_obs.Trace
 module Ctx = Versioning_obs.Context
 module Flight = Versioning_obs.Flight
+module Bounded_ring = Versioning_obs.Bounded_ring
 module Logctx = Versioning_obs.Logctx
 module Pool = Versioning_util.Pool
 
@@ -247,7 +248,53 @@ let test_trace_ring_capacity () =
   Alcotest.(check string) "oldest survivor" "s8" (List.hd spans).Trace.name;
   Alcotest.check_raises "below minimum"
     (Invalid_argument "Trace.set_capacity: 4 outside [16, 1048576]") (fun () ->
-      Trace.set_capacity 4)
+      Trace.set_capacity 4);
+  (* the flight recorder's fixed ring truncates the same way *)
+  Fun.protect ~finally:Flight.reset @@ fun () ->
+  Flight.reset ();
+  let n = Flight.capacity + 88 in
+  for i = 0 to n - 1 do
+    Flight.record_log ~level:"info" ~src:"test" (string_of_int i)
+  done;
+  Alcotest.(check int) "flight count survives truncation" n
+    (Flight.event_count ());
+  let events = Flight.events () in
+  Alcotest.(check int) "flight ring bounded" Flight.capacity
+    (List.length events);
+  Alcotest.(check string) "oldest flight survivor" "88"
+    (List.hd events).Flight.ev_detail
+
+(* The shared ring against a list model: the model keeps every push,
+   the ring must show its last [capacity] elements. *)
+let prop_bounded_ring_model =
+  let op = QCheck.(option (int_bound 1000)) in
+  QCheck.Test.make ~count:500 ~name:"bounded ring matches a list model"
+    QCheck.(pair (int_bound 40) (list op))
+    (fun (cap, ops) ->
+      let r = Bounded_ring.create cap in
+      let model = ref [] and pushed = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some x ->
+              Bounded_ring.push r x;
+              model := !model @ [ x ];
+              incr pushed
+          | None ->
+              Bounded_ring.clear r;
+              model := [];
+              pushed := 0);
+          let kept =
+            List.filteri
+              (fun i _ -> i >= List.length !model - cap)
+              !model
+          in
+          Bounded_ring.to_list r = kept
+          && Bounded_ring.newest r
+             = (match List.rev kept with x :: _ -> Some x | [] -> None)
+          && Bounded_ring.pushed r = !pushed
+          && Bounded_ring.capacity r = cap)
+        ops)
 
 let test_chrome_golden () =
   let tid = "0123456789abcdef0123456789abcdef" in
@@ -408,6 +455,7 @@ let suite =
     Alcotest.test_case "type conflict rejected" `Quick
       test_type_conflict_rejected;
     QCheck_alcotest.to_alcotest prop_hist_sum_count;
+    QCheck_alcotest.to_alcotest prop_bounded_ring_model;
     Alcotest.test_case "default registry gated" `Quick
       test_default_registry_gated;
     Alcotest.test_case "time runs either way" `Quick test_time_runs_either_way;

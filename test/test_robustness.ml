@@ -420,6 +420,178 @@ let test_ref_name_validation () =
   Alcotest.(check string) "valid name accepted" "fine-name.1"
     (Repo.current_branch repo)
 
+(* ---- format stability ----
+
+   Files as the store wrote them before every line file moved onto
+   the shared [Line_file] codec, captured verbatim: they must keep
+   loading with the same contents. Meta and journal [stored] entries
+   follow hash-table order, so those two compare as sets of lines. *)
+
+let meta_fixture = {|dsvc 1
+head dev
+next 5
+gen 8
+branch dev 4
+branch main 2
+tag v1.0 2
+version 4 1792204515.380095 3,2 merge
+version 3 1792204515.379146 1 on dev
+version 2 1792204515.377623 1 second \"quoted\"\twith tab
+version 1 1792204515.376091 - first
+stored 2 delta 1 d80bd5490909a4ae130167720847c9c8
+stored 3 delta 1 d80f3749090c810b1304d172084ab3bd
+stored 1 full 859830575013c467a9cdae1268f25319
+stored 4 delta 3 dc05b48de27f2c9a3f19ca52bfef6afc
+end
+|}
+
+let journal_fixture = {|journal 1
+old 2 delta 1 8fbbb79126336918a73ad044097f2be6
+old 3 delta 2 8fbf21912636530da73e324409820843
+old 1 full 27baa2c3ff3c894be2e18b2fa8fc95ed
+old 4 delta 3 8fa7579126221ceea74f304409907810
+new 2 delta 4 8fbbb79126336918a73ad044097f2be6
+new 3 delta 4 8fbf21912636530da73e324409820843
+new 1 delta 2 8fb8419126306abfa74512440987f091
+new 4 full 27baa5c3ff3c8e64e2e1862fa8fc8d6e
+end
+|}
+
+let telemetry_fixture = {|telemetry 1
+decay 0x1.ccccccccccccdp-1 8 3
+events 5
+v 1 3 1 0x1.3ba92a3055326p+1 5 2 0x1.4p-2 0x1.ea48p+19 -
+v 2 1 1 0x1p+0 2 1 0x1.a36e2eb1c432dp-14 0x1.8p+3 0af7651916cd43dd8448eb211c80319c
+v 3 1 0 0x1p+0 4 1 0x1.5555555555555p-1 0x1.34p+6 -
+s 2 0x1.a36e2eb1c432dp-14 0x1.8p+3 0x0p+0
+s 1 0x1.3333333333333p-2 0x1.e848p+19 0x1.e848p+17
+s 3 0x1.5555555555555p-1 0x1.34p+6 0x1.18p+6
+end
+|}
+
+let timeseries_fixture = {|timeseries 1
+conf 0x1.4p+2 4
+m 0 3 1 0x1p-1 0x1p-1 0x1p-1 0x1p-1 dsvc_up
+m 0 5 1 0x1p+0 0x1p+0 0x1p+0 0x1p+0 dsvc_up
+m 0 6 1 0x1p+0 0x1p+0 0x1p+0 0x1p+0 dsvc_up
+m 0 11 1 0x1p-2 0x1p-2 0x1p-2 0x1p-2 dsvc_up
+m 1 0 7 0x1.6p+2 0x0p+0 0x1p+0 0x1p+0 dsvc_up
+m 1 1 1 0x1p-2 0x1p-2 0x1p-2 0x1p-2 dsvc_up
+m 2 0 8 0x1.7p+2 0x0p+0 0x1p+0 0x1p-2 dsvc_up
+m 0 0 1 0x1.9652bd3c36113p-9 0x1.9652bd3c36113p-9 0x1.9652bd3c36113p-9 0x1.9652bd3c36113p-9 req p99{route="/checkout/:name"}
+m 0 1 1 0x1.5555555555555p-2 0x1.5555555555555p-2 0x1.5555555555555p-2 0x1.5555555555555p-2 req p99{route="/checkout/:name"}
+m 0 26 1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1 req p99{route="/checkout/:name"}
+m 1 0 2 0x1.5881facfcdc17p-2 0x1.9652bd3c36113p-9 0x1.5555555555555p-2 0x1.5555555555555p-2 req p99{route="/checkout/:name"}
+m 1 2 1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1 req p99{route="/checkout/:name"}
+m 2 0 3 -0x1.14efc0a60647dp+1 -0x1.4p+1 0x1.5555555555555p-2 -0x1.4p+1 req p99{route="/checkout/:name"}
+end
+|}
+
+let sorted_lines s = List.sort compare (String.split_on_char '\n' s)
+
+let test_meta_fixture_loads () =
+  let dir = temp_dir () in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir (Filename.concat dir ".dsvc") 0o755;
+  write_file (meta_path dir) meta_fixture;
+  let repo = ok (Repo.open_repo ~path:dir) in
+  Alcotest.(check (list int)) "versions, newest first" [ 4; 3; 2; 1 ]
+    (List.map (fun (c : Repo.commit_info) -> c.id) (Repo.log repo));
+  let info v = Option.get (Repo.commit_info repo v) in
+  Alcotest.(check (list int)) "merge parents" [ 3; 2 ] (info 4).parents;
+  Alcotest.(check string) "escaped message" "second \"quoted\"\twith tab"
+    (info 2).message;
+  Alcotest.(check string) "head branch" "dev" (Repo.current_branch repo);
+  Alcotest.(check (list (pair string int))) "branches"
+    [ ("dev", 4); ("main", 2) ] (Repo.branches repo);
+  Alcotest.(check (list (pair string int))) "tags" [ ("v1.0", 2) ]
+    (Repo.tags repo);
+  Alcotest.(check (list (pair int int))) "storage plan"
+    [ (0, 1); (1, 2); (1, 3); (3, 4) ]
+    (Repo.storage_parents repo);
+  Alcotest.(check int) "generation" 8 (Repo.generation repo);
+  (* a no-op switch saves: the same lines come back, generation bumped *)
+  ok (Repo.switch repo "dev");
+  Repo.close repo;
+  Alcotest.(check (list string)) "re-rendered lines"
+    (sorted_lines meta_fixture
+    |> List.map (function "gen 8" -> "gen 9" | l -> l)
+    |> List.sort compare)
+    (sorted_lines (read_file (meta_path dir)))
+
+(* The journal fixture was written by this exact crash on this exact
+   repository; object digests are content hashes, so both runs name
+   the same blobs. *)
+let crash_after_journal () =
+  Faults.reset ();
+  let dir, repo, contents = mk_chain_repo () in
+  let old_plan = Repo.storage_parents repo in
+  Faults.arm ~site:"optimize.after_journal" Faults.Crash;
+  (try
+     ignore (Repo.optimize repo Repo.Min_storage);
+     Alcotest.fail "injected crash must fire"
+   with Faults.Injected _ -> ());
+  (dir, old_plan, contents)
+
+let test_journal_fixture_recovers () =
+  let dir, _, contents = crash_after_journal () in
+  Alcotest.(check (list string)) "journal entries match the fixture"
+    (sorted_lines journal_fixture)
+    (sorted_lines (read_file (journal_path dir)));
+  write_file (journal_path dir) journal_fixture;
+  let repo = ok (Repo.open_repo ~path:dir) in
+  Alcotest.(check bool) "journal resolved" false (Repo.journal_pending repo);
+  Alcotest.(check (list (pair int int))) "rolled forward to the new map"
+    [ (2, 1); (4, 2); (4, 3); (0, 4) ]
+    (Repo.storage_parents repo);
+  check_contents dir contents
+
+let test_torn_journal_discarded () =
+  let dir, old_plan, contents = crash_after_journal () in
+  let journal = read_file (journal_path dir) in
+  (* cut mid-body: the [end] trailer never made it to disk *)
+  write_file (journal_path dir)
+    (String.sub journal 0 (String.length journal / 2));
+  let repo = ok (Repo.open_repo ~path:dir) in
+  Alcotest.(check bool) "torn journal removed" false
+    (Sys.file_exists (journal_path dir));
+  Alcotest.(check (list (pair int int))) "metadata stays authoritative"
+    old_plan (Repo.storage_parents repo);
+  check_contents dir contents
+
+let test_ledger_fixtures_roundtrip () =
+  let module Telemetry = Versioning_obs.Telemetry in
+  let module Timeseries = Versioning_obs.Timeseries in
+  let t = ok (Telemetry.parse telemetry_fixture) in
+  Alcotest.(check int) "telemetry events" 5 (Telemetry.events t);
+  Alcotest.(check int) "telemetry samples" 3
+    (List.length (Telemetry.samples t));
+  Alcotest.(check string) "telemetry re-renders byte-identically"
+    telemetry_fixture (Telemetry.render t);
+  let ts = ok (Timeseries.parse timeseries_fixture) in
+  Alcotest.(check (option (float 0.0))) "newest dsvc_up" (Some 0.25)
+    (Timeseries.latest ts ~metric:"dsvc_up");
+  Alcotest.(check string) "timeseries re-renders byte-identically"
+    timeseries_fixture (Timeseries.render ts)
+
+(* A file that lost its header must not load as an empty repository:
+   fsck --repair would then collect every blob as unreferenced. *)
+let test_headerless_meta_restored_from_backup () =
+  let dir = mk_repo () in
+  write_file (meta_path dir) "end\n";
+  (match Repo.open_repo ~path:dir with
+  | Ok _ -> Alcotest.fail "headerless metadata must not load"
+  | Error e ->
+      Alcotest.(check bool) "detected as corrupt" true (contains e "corrupt"));
+  let result = ok (Repo.fsck ~path:dir ~repair:true) in
+  Alcotest.(check bool) "backup restore reported" true
+    (List.exists
+       (fun a -> contains a "restored metadata from backup")
+       result.Repo.actions);
+  let repo = ok (Repo.open_repo ~path:dir) in
+  Alcotest.(check string) "version 1 survives" "alpha\nbeta"
+    (ok (Repo.checkout repo 1))
+
 let suite =
   [
     Alcotest.test_case "meta truncation" `Quick test_meta_truncation;
@@ -442,4 +614,14 @@ let suite =
     Alcotest.test_case "lock excludes other process" `Quick
       test_lock_excludes_other_process;
     Alcotest.test_case "ref name validation" `Quick test_ref_name_validation;
+    Alcotest.test_case "v1 meta fixture loads" `Quick
+      test_meta_fixture_loads;
+    Alcotest.test_case "v1 journal fixture recovers" `Quick
+      test_journal_fixture_recovers;
+    Alcotest.test_case "torn journal discarded" `Quick
+      test_torn_journal_discarded;
+    Alcotest.test_case "v1 ledger fixtures round-trip" `Quick
+      test_ledger_fixtures_roundtrip;
+    Alcotest.test_case "headerless meta restored from backup" `Quick
+      test_headerless_meta_restored_from_backup;
   ]

@@ -633,11 +633,11 @@ let test_timeseries_save_fault () =
   Obs.with_enabled true (fun () ->
       Timeseries.record (Repo.timeseries repo) ~now:100.0 ~metric:"m" 1.0;
       Faults.arm ~site:"timeseries.save" (Faults.Fail "injected: disk full");
-      (match Repo.flush_timeseries repo with
+      (match Repo.flush_ledgers repo with
       | Ok () -> Alcotest.fail "flush must surface the injected failure"
       | Error _ -> ());
       Faults.reset ();
-      ok (Repo.flush_timeseries repo));
+      ok (Repo.flush_ledgers repo));
   Repo.close repo;
   (* the failed flush corrupted nothing: the repo reopens, verifies,
      and the ring from the successful flush is intact *)
@@ -831,6 +831,14 @@ let test_trace_endpoint_and_request_id_echo () =
     (contains r.Http.body "/checkout/:name");
   Alcotest.(check bool) "summary includes the server span" true
     (contains r.Http.body "server.request");
+  (* a second request reusing the id: the newest one answers *)
+  let r = Server.handle_safe repo (mk_request ~headers "/stats") in
+  Alcotest.(check int) "reused id served" 200 r.Http.status;
+  let r =
+    Server.handle_safe repo (mk_request ("/trace/" ^ ctx.Ctx.request_id))
+  in
+  Alcotest.(check bool) "newest request with the id answers" true
+    (contains r.Http.body "\"route\":\"/stats\"");
   let r = Server.handle_safe repo (mk_request "/trace/nosuch") in
   Alcotest.(check int) "unknown id is 404" 404 r.Http.status
 

@@ -170,14 +170,14 @@ let test_save_fault_injected () =
   Obs.with_enabled true (fun () ->
       ignore (ok (Repo.checkout repo 2));
       Faults.arm ~site:"telemetry.save" (Faults.Fail "injected: disk full");
-      (match Repo.flush_telemetry repo with
+      (match Repo.flush_ledgers repo with
       | Ok () -> Alcotest.fail "flush must surface the injected failure"
       | Error _ -> ());
       (* a failed flush must not corrupt anything: no ledger file, and
          the repo itself still works *)
       Faults.reset ();
       ignore (ok (Repo.checkout repo 1));
-      ok (Repo.flush_telemetry repo));
+      ok (Repo.flush_ledgers repo));
   Repo.close repo;
   let repo2 = ok (Repo.open_repo ~path:dir) in
   Alcotest.(check bool) "ledger persisted after the fault cleared" false

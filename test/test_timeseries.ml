@@ -125,13 +125,24 @@ let test_render_parse_roundtrip () =
     (String.length text >= 4 && String.sub text (String.length text - 4) 4 = "end\n")
 
 let test_parse_rejects_garbage () =
-  let bad s =
-    match Timeseries.parse s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "parse accepted %S" s
+  let rejects name parse s =
+    match parse s with
+    | Error e ->
+        Alcotest.(check bool) (name ^ " error names the file as corrupt") true
+          (String.starts_with ~prefix:"corrupt " e)
+    | Ok _ -> Alcotest.failf "%s parse accepted %S" name s
   in
+  let bad = rejects "timeseries" Timeseries.parse in
   bad "";
   bad "not a timeseries\n";
+  (* headerless, and a format version this build does not read *)
+  bad "conf 0x1p+0 4\nend\n";
+  bad "end\n";
+  bad "timeseries 2\nconf 0x1p+0 4\nend\n";
+  let bad_ledger = rejects "telemetry" Versioning_obs.Telemetry.parse in
+  bad_ledger "events 3\nend\n";
+  bad_ledger "end\n";
+  bad_ledger "telemetry 2\nevents 3\nend\n";
   (* a torn write: valid prefix, missing [end] trailer *)
   let t = ts () in
   Timeseries.record t ~now:1.0 ~metric:"m" 1.0;
