@@ -10,7 +10,6 @@ module Obs = Versioning_obs.Obs
 module Telemetry = Versioning_obs.Telemetry
 module Timeseries = Versioning_obs.Timeseries
 module Context = Versioning_obs.Context
-module Line_file = Versioning_obs.Line_file
 
 let log_src = Logs.Src.create "dsvc.repo" ~doc:"Repository store"
 
@@ -26,14 +25,16 @@ let record_cache result =
     ~labels:[ ("result", result) ]
     ~help:"Checkout materialization-cache outcomes"
 
-type commit_info = {
+type commit_info = Meta.commit_info = {
   id : int;
   parents : int list;
   message : string;
   timestamp : float;
 }
 
-type stored = Full of string | Delta_from of int * string
+type stored = Meta.stored = Full of string | Delta_from of int * string
+
+module IM = Meta.Int_map
 
 (* Materialization cache entry: version contents are immutable once
    committed (optimize/repair only re-plan how they are stored), so a
@@ -44,16 +45,10 @@ type cache_entry = { content : string; mutable stamp : int }
 type t = {
   root : string;
   store : Object_store.t;
-  mutable commits : commit_info list;  (* newest first *)
-  mutable stored : (int, stored) Hashtbl.t;
-  mutable branches : (string * int) list;
-  mutable tag_list : (string * int) list;
-  mutable head_branch : string;
-  mutable next_id : int;
-  (* Metadata generation: bumped on every durable [save], carried in
-     the meta file, and compared by [adopt_meta] so replicated nodes
-     only ever move forward. Gaps are fine; order is what matters. *)
-  mutable generation : int;
+  (* The committed metadata. Replaced, never edited: every mutation
+     builds the next value and installs it only after [save] made it
+     durable, so memory never runs ahead of disk. *)
+  mutable meta : Meta.t;
   (* checkout LRU (per handle, never persisted) *)
   cache : (int, cache_entry) Hashtbl.t;
   mutable cache_slots : int;
@@ -133,36 +128,6 @@ type fsck_result = { actions : string list; problems : string list }
 type cache_stats = { hits : int; partial_hits : int; misses : int }
 
 let default_cache_slots = 16
-
-let fresh_cache_fields () =
-  ( Hashtbl.create 16,
-    default_cache_slots )
-
-let mk_repo ~root ~store ~commits ~stored ~branches ~tag_list ~head_branch
-    ~next_id =
-  let cache, cache_slots = fresh_cache_fields () in
-  {
-    root;
-    store;
-    commits;
-    stored;
-    branches;
-    tag_list;
-    head_branch;
-    next_id;
-    generation = 0;
-    cache;
-    cache_slots;
-    cache_clock = 0;
-    cache_hits = 0;
-    cache_partial_hits = 0;
-    cache_misses = 0;
-    telemetry = Telemetry.create ();
-    telemetry_dirty = false;
-    timeseries = Timeseries.create ();
-    phi_memo = Hashtbl.create 16;
-    last_drift = 0.0;
-  }
 
 let meta_dir path = Filename.concat path ".dsvc"
 let meta_file path = Filename.concat (meta_dir path) "meta"
@@ -296,189 +261,26 @@ let close t =
     | Error e -> Log.warn (fun m -> m "ledgers not persisted: %s" e));
   release_lock t.root
 
-(* ---- reference-name validation ----
+(* ---- metadata persistence ----
 
-   The metadata format is line- and space-delimited: a branch or tag
-   name containing whitespace or control characters would make the
-   repository unloadable. *)
+   Build, save, install: a mutation computes the next [Meta.t] and
+   hands it to [save], which bumps the generation, writes the file,
+   and only then installs the value. A failed save installs nothing,
+   so there is nothing to roll back. *)
 
-let valid_ref_name name =
-  name <> "" && String.length name <= 255
-  && String.for_all (fun c -> c > ' ' && c <> '\x7f') name
+let write_meta t content =
+  Fsutil.write_file_atomic ~site:"repo.save" ~backup:(backup_file t.root)
+    (meta_file t.root) content
 
-(* ---- in-memory state snapshots ----
+let save t (next : Meta.t) =
+  let next = { next with generation = t.meta.generation + 1 } in
+  let* () = write_meta t (Meta.render next) in
+  t.meta <- next;
+  Ok ()
 
-   Mutations are applied in memory and then persisted by [save]; if
-   the save fails, the snapshot is restored so memory never diverges
-   from disk. *)
-
-type snapshot =
-  commit_info list
-  * (int, stored) Hashtbl.t
-  * (string * int) list
-  * (string * int) list
-  * string
-  * int
-  * int
-
-let snapshot t : snapshot =
-  ( t.commits,
-    Hashtbl.copy t.stored,
-    t.branches,
-    t.tag_list,
-    t.head_branch,
-    t.next_id,
-    t.generation )
-
-let restore t ((commits, stored, branches, tags, head, next, gen) : snapshot) =
-  t.commits <- commits;
-  t.stored <- stored;
-  t.branches <- branches;
-  t.tag_list <- tags;
-  t.head_branch <- head;
-  t.next_id <- next;
-  t.generation <- gen
-
-(* ---- metadata persistence ---- *)
-
-(* One [stored] entry, "<id> full <digest>" or "<id> delta <parent>
-   <digest>": the metadata's [stored] lines and the journal's
-   [old]/[new] lines carry the same fields. *)
-let stored_fields id = function
-  | Full digest -> Printf.sprintf "%d full %s" id digest
-  | Delta_from (p, digest) -> Printf.sprintf "%d delta %d %s" id p digest
-
-let add_stored tbl = function
-  | [ id; "full"; digest ] ->
-      Hashtbl.replace tbl (Line_file.int id) (Full digest)
-  | [ id; "delta"; p; digest ] ->
-      Hashtbl.replace tbl (Line_file.int id)
-        (Delta_from (Line_file.int p, digest))
-  | _ -> Line_file.bad "bad stored entry"
-
-let render_stored prefix tbl =
-  Hashtbl.fold
-    (fun id s acc -> (prefix ^ " " ^ stored_fields id s) :: acc)
-    tbl []
-
-let render_meta t =
-  let version c =
-    let parents =
-      match c.parents with
-      | [] -> "-"
-      | ps -> String.concat "," (List.map string_of_int ps)
-    in
-    Printf.sprintf "version %d %.6f %s %s" c.id c.timestamp parents
-      (String.escaped c.message)
-  in
-  Line_file.render ~magic:"dsvc"
-    ((("head " ^ t.head_branch) :: Printf.sprintf "next %d" t.next_id
-     :: (if t.generation > 0 then [ Printf.sprintf "gen %d" t.generation ]
-         else []))
-    @ List.map (fun (n, v) -> Printf.sprintf "branch %s %d" n v) t.branches
-    @ List.map (fun (n, v) -> Printf.sprintf "tag %s %d" n v) t.tag_list
-    @ List.map version t.commits
-    @ render_stored "stored" t.stored)
-
-let save t =
-  t.generation <- t.generation + 1;
-  match
-    Fsutil.write_file_atomic ~site:"repo.save" ~backup:(backup_file t.root)
-      (meta_file t.root) (render_meta t)
-  with
-  | Ok () -> Ok ()
-  | Error _ as e ->
-      t.generation <- t.generation - 1;
-      e
-
-let save_rollback t snap =
-  match save t with
-  | Ok () -> Ok ()
-  | Error e ->
-      restore t snap;
-      Error e
-
-let parse_meta path store content =
-  let t =
-    mk_repo ~root:path ~store ~commits:[] ~stored:(Hashtbl.create 64)
-      ~branches:[] ~tag_list:[] ~head_branch:"main" ~next_id:1
-  in
-  let* () =
-    Line_file.parse ~magic:"dsvc" ~what:"repository metadata" content (function
-      | [ "head"; name ] -> t.head_branch <- name
-      | [ "next"; n ] -> t.next_id <- Line_file.int n
-      (* absent in pre-cluster metadata: generation stays 0 *)
-      | [ "gen"; n ] -> t.generation <- Line_file.int n
-      | [ "branch"; name; v ] ->
-          t.branches <- t.branches @ [ (name, Line_file.int v) ]
-      | [ "tag"; name; v ] ->
-          t.tag_list <- t.tag_list @ [ (name, Line_file.int v) ]
-      | "version" :: id :: ts :: parents :: msg_parts ->
-          let message =
-            try Scanf.unescaped (String.concat " " msg_parts)
-            with Scanf.Scan_failure _ -> String.concat " " msg_parts
-          in
-          let parents =
-            if parents = "-" then []
-            else List.map Line_file.int (String.split_on_char ',' parents)
-          in
-          t.commits <-
-            { id = Line_file.int id; parents; message;
-              timestamp = Line_file.float ts }
-            :: t.commits
-      | "stored" :: entry -> add_stored t.stored entry
-      | _ -> Line_file.bad "unknown line")
-  in
-  (* Newest first. *)
-  t.commits <- List.sort (fun a b -> compare b.id a.id) t.commits;
-  Ok t
-
-let load path store =
+let load path =
   let* content = Fsutil.read_file (meta_file path) in
-  parse_meta path store content
-
-(* ---- retrieval ---- *)
-
-(* [bytes], when given, accumulates the logical size of every object
-   read along the replay — the observed recreation cost the telemetry
-   ledger records. Callers pass it only while the Obs gate is on, so
-   the plain path does no extra work. *)
-let replay_deltas ?bytes t base deltas =
-  let count n =
-    match bytes with
-    | Some r -> r := !r +. float_of_int n
-    | None -> ()
-  in
-  List.fold_left
-    (fun acc digest ->
-      let* content = acc in
-      let* encoded = Object_store.get t.store digest in
-      count (String.length encoded);
-      match Line_diff.decode encoded with
-      | d -> (
-          try Ok (Line_diff.apply content d)
-          with Invalid_argument e -> Error e)
-      | exception Invalid_argument e -> Error e)
-    (Ok base) deltas
-
-(* The cache-free path: reads every object along the chain. Integrity
-   checks ([verify], [check_all_versions], [repair]) must use this one
-   — a cached string would mask on-disk corruption they exist to
-   find. *)
-let checkout_uncached t version =
-  (* Walk back to a full object, then replay deltas forward. *)
-  let rec chain v acc =
-    match Hashtbl.find_opt t.stored v with
-    | None -> Error (Printf.sprintf "version %d is not stored" v)
-    | Some (Full digest) -> Ok (digest, acc)
-    | Some (Delta_from (p, digest)) ->
-        if List.length acc > Hashtbl.length t.stored then
-          Error "delta chain contains a cycle"
-        else chain p (digest :: acc)
-  in
-  let* base_digest, deltas = chain version [] in
-  let* base = Object_store.get t.store base_digest in
-  replay_deltas t base deltas
+  Meta.parse content
 
 (* ---- materialization LRU ---- *)
 
@@ -549,6 +351,61 @@ let note_recreation t version ~t0 ~bytes ~miss =
       Telemetry.record_recreation t.telemetry version ~seconds ~bytes
         ~predicted ()
 
+(* ---- retrieval: the one delta-chain walk ----
+
+   Walk back from [version] to its full object — or, with [~cached],
+   stop at the nearest cached ancestor — collecting the delta digests
+   to replay, oldest first. A chain with as many deltas as [stored]
+   has entries must revisit a version; the bound is counted once per
+   walk because [IM.cardinal] is O(n). *)
+let chain t stored ~cached version =
+  let limit = IM.cardinal stored in
+  let rec walk v deltas depth =
+    match if cached && v <> version then cache_find t v else None with
+    | Some content -> Ok (`Content content, deltas)
+    | None -> (
+        match IM.find_opt v stored with
+        | None -> Error (Printf.sprintf "version %d is not stored" v)
+        | Some (Full digest) -> Ok (`Digest digest, deltas)
+        | Some (Delta_from (p, digest)) ->
+            if depth >= limit then Error "delta chain contains a cycle"
+            else walk p (digest :: deltas) (depth + 1))
+  in
+  walk version [] 0
+
+(* Rebuild a walk's content: read the base unless it was cached, then
+   replay the deltas forward. [bytes], when given, accumulates the
+   logical size of every object read — the observed recreation cost
+   the telemetry ledger records. Callers pass it only while the Obs
+   gate is on, so the plain path does no extra work. *)
+let replay ?bytes t (base, deltas) =
+  let get digest =
+    let* encoded = Object_store.get t.store digest in
+    Option.iter
+      (fun r -> r := !r +. float_of_int (String.length encoded))
+      bytes;
+    Ok encoded
+  in
+  let* base = match base with `Content c -> Ok c | `Digest d -> get d in
+  List.fold_left
+    (fun acc digest ->
+      let* content = acc in
+      let* encoded = get digest in
+      match Line_diff.apply content (Line_diff.decode encoded) with
+      | c -> Ok c
+      | exception Invalid_argument e -> Error e)
+    (Ok base) deltas
+
+(* The cache-free path under a given plan: reads every object along
+   the chain. Integrity checks ([verify], [check_all_versions],
+   [repair]) must use this one — a cached string would mask on-disk
+   corruption they exist to find. *)
+let rebuild t stored version =
+  let* walk = chain t stored ~cached:false version in
+  replay t walk
+
+let checkout_uncached t version = rebuild t t.meta.stored version
+
 (* Cached checkout: walk the chain backwards only until a materialized
    prefix is found — the version itself (pure hit), a cached ancestor
    (replay only the suffix), or the stored full object (cold). The
@@ -569,71 +426,42 @@ let checkout t version =
       | None -> ());
       Ok content
   | None ->
-      let counter = match t0 with Some _ -> Some (ref 0.0) | None -> None in
-      let rec chain v acc =
-        match if v = version then None else cache_find t v with
-        | Some content -> Ok (`Content content, acc)
-        | None -> (
-            match Hashtbl.find_opt t.stored v with
-            | None -> Error (Printf.sprintf "version %d is not stored" v)
-            | Some (Full digest) -> Ok (`Digest digest, acc)
-            | Some (Delta_from (p, digest)) ->
-                if List.length acc > Hashtbl.length t.stored then
-                  Error "delta chain contains a cycle"
-                else chain p (digest :: acc))
-      in
-      let* base, deltas = chain version [] in
+      let* ((base, _) as walk) = chain t t.meta.stored ~cached:true version in
       Telemetry.bump_checkout t.telemetry version ~cached:false;
       t.telemetry_dirty <- true;
       let miss = match base with `Digest _ -> true | `Content _ -> false in
-      let* base_content =
-        match base with
-        | `Content c ->
-            t.cache_partial_hits <- t.cache_partial_hits + 1;
-            record_cache "partial";
-            Ok c
-        | `Digest d ->
-            t.cache_misses <- t.cache_misses + 1;
-            record_cache "miss";
-            let r = Object_store.get t.store d in
-            (match (counter, r) with
-            | Some c, Ok content ->
-                c := !c +. float_of_int (String.length content)
-            | _ -> ());
-            r
-      in
-      let* content = replay_deltas ?bytes:counter t base_content deltas in
+      if miss then begin
+        t.cache_misses <- t.cache_misses + 1;
+        record_cache "miss"
+      end
+      else begin
+        t.cache_partial_hits <- t.cache_partial_hits + 1;
+        record_cache "partial"
+      end;
+      let bytes = Option.map (fun _ -> ref 0.0) t0 in
+      let* content = replay ?bytes t walk in
       cache_put t version content;
-      (match (t0, counter) with
+      (match (t0, bytes) with
       | Some t0, Some c -> note_recreation t version ~t0 ~bytes:!c ~miss
       | _ -> ());
       Ok content
 
-(* every version must reconstruct — the invariant [optimize] and
-   journal recovery check before destroying anything *)
-let check_all_versions t =
-  Hashtbl.fold
+(* every version must reconstruct under [stored] — the invariant
+   [optimize] and journal recovery check before destroying anything *)
+let check_all_versions t stored =
+  IM.fold
     (fun v _ acc ->
       let* () = acc in
-      match checkout_uncached t v with
+      match rebuild t stored v with
       | Ok _ -> Ok ()
       | Error e -> Error (Printf.sprintf "version %d: %s" v e))
-    t.stored (Ok ())
+    stored (Ok ())
 
 (* ---- journal (two-phase optimize) ---- *)
 
 let write_journal t ~old_map ~new_map =
   Fsutil.write_file_atomic ~site:"repo.journal" (journal_file t.root)
-    (Line_file.render ~magic:"journal"
-       (render_stored "old" old_map @ render_stored "new" new_map))
-
-let parse_journal content =
-  let old_map = Hashtbl.create 64 and new_map = Hashtbl.create 64 in
-  Result.map (fun () -> (old_map, new_map))
-  @@ Line_file.parse ~magic:"journal" ~what:"journal" content (function
-       | "old" :: entry -> add_stored old_map entry
-       | "new" :: entry -> add_stored new_map entry
-       | _ -> Line_file.bad "unknown line")
+    (Meta.render_journal ~old_map ~new_map)
 
 let remove_journal t =
   try Sys.remove (journal_file t.root) with Sys_error _ -> ()
@@ -643,18 +471,15 @@ let read_journal t =
   else
     match Fsutil.read_file (journal_file t.root) with
     | Error _ -> None
-    | Ok content -> (
-        match parse_journal content with
-        | Ok maps -> Some maps
-        | Error _ -> None)
+    | Ok content -> Result.to_option (Meta.parse_journal content)
 
 (* ---- garbage collection ---- *)
 
 let referenced_digests t =
-  Hashtbl.fold
+  IM.fold
     (fun _ s acc ->
       match s with Full d -> d :: acc | Delta_from (_, d) -> d :: acc)
-    t.stored []
+    t.meta.stored []
 
 module SS = Set.Make (String)
 
@@ -681,56 +506,43 @@ let gc t =
    new objects were written. Roll forward if the intended map fully
    reconstructs; otherwise roll back to the pre-optimize map; if
    neither is whole (additional damage), keep the journal so [repair]
-   can recover over the union of both maps. *)
+   can recover over the union of both maps. An unreadable or torn
+   journal means the metadata swap never happened: the current
+   metadata is authoritative. *)
 
 let recover_journal t =
   if not (Sys.file_exists (journal_file t.root)) then Ok `No_journal
   else
-    match Fsutil.read_file (journal_file t.root) with
-    | Error _ ->
+    match read_journal t with
+    | None ->
         remove_journal t;
         Ok `Rolled_back
-    | Ok content -> (
-        match parse_journal content with
-        | Error _ ->
-            (* torn journal: the metadata swap never happened, the
-               current metadata is authoritative *)
-            remove_journal t;
-            Ok `Rolled_back
-        | Ok (old_map, new_map) ->
-            let try_map m =
-              let prev = t.stored in
-              t.stored <- m;
-              match check_all_versions t with
-              | Ok () -> true
-              | Error _ ->
-                  t.stored <- prev;
-                  false
-            in
-            let finish outcome =
-              let* () = save t in
-              remove_journal t;
-              Hashtbl.reset t.phi_memo;
-              ignore (gc t);
-              Ok outcome
-            in
-            if try_map new_map then begin
-              Log.warn (fun m ->
-                  m "interrupted optimize: rolled forward from journal");
-              finish `Rolled_forward
-            end
-            else if try_map old_map then begin
-              Log.warn (fun m ->
-                  m "interrupted optimize: rolled back to pre-optimize map");
-              finish `Rolled_back
-            end
-            else begin
-              Log.warn (fun m ->
-                  m
-                    "interrupted optimize: neither map reconstructs, keeping \
-                     journal for repair");
-              Ok `Journal_kept
-            end)
+    | Some (old_map, new_map) ->
+        let whole m = Result.is_ok (check_all_versions t m) in
+        let finish stored outcome =
+          let* () = save t { t.meta with stored } in
+          remove_journal t;
+          Hashtbl.reset t.phi_memo;
+          ignore (gc t);
+          Ok outcome
+        in
+        if whole new_map then begin
+          Log.warn (fun m ->
+              m "interrupted optimize: rolled forward from journal");
+          finish new_map `Rolled_forward
+        end
+        else if whole old_map then begin
+          Log.warn (fun m ->
+              m "interrupted optimize: rolled back to pre-optimize map");
+          finish old_map `Rolled_back
+        end
+        else begin
+          Log.warn (fun m ->
+              m
+                "interrupted optimize: neither map reconstructs, keeping \
+                 journal for repair");
+          Ok `Journal_kept
+        end
 
 (* ---- open / init ---- *)
 
@@ -742,18 +554,37 @@ let resolve_store store path =
   | Some s -> Ok s
   | None -> Object_store.create ~dir:(objects_dir path)
 
+(* Lock [path], then build the handle around the metadata [meta]
+   returns (read under the lock), with fresh per-handle caches. *)
+let attach store path meta =
+  let* () = acquire_lock path in
+  let* store = resolve_store store path in
+  let* meta = meta () in
+  Ok
+    {
+      root = path;
+      store;
+      meta;
+      cache = Hashtbl.create 16;
+      cache_slots = default_cache_slots;
+      cache_clock = 0;
+      cache_hits = 0;
+      cache_partial_hits = 0;
+      cache_misses = 0;
+      telemetry = Telemetry.create ();
+      telemetry_dirty = false;
+      timeseries = Timeseries.create ();
+      phi_memo = Hashtbl.create 16;
+      last_drift = 0.0;
+    }
+
 let init_opt store ~path =
   if Sys.file_exists (meta_file path) then
     Error (Printf.sprintf "repository already exists at %s" path)
   else
     let* () = Fsutil.mkdir_p (meta_dir path) in
-    let* () = acquire_lock path in
-    let* store = resolve_store store path in
-    let t =
-      mk_repo ~root:path ~store ~commits:[] ~stored:(Hashtbl.create 64)
-        ~branches:[ ("main", 0) ] ~tag_list:[] ~head_branch:"main" ~next_id:1
-    in
-    let* () = save t in
+    let* t = attach store path (fun () -> Ok Meta.empty) in
+    let* () = save t t.meta in
     Ok t
 
 let init ~path = init_opt None ~path
@@ -763,9 +594,7 @@ let open_opt store ~path =
   if not (Sys.file_exists (meta_file path)) then
     Error (Printf.sprintf "no repository at %s" path)
   else
-    let* () = acquire_lock path in
-    let* store = resolve_store store path in
-    let* t = load path store in
+    let* t = attach store path (fun () -> load path) in
     let* _outcome = recover_journal t in
     load_ledgers t;
     Ok t
@@ -775,7 +604,7 @@ let open_with ~store ~path = open_opt (Some store) ~path
 
 (* ---- metadata replication (cluster mode) ---- *)
 
-let generation t = t.generation
+let generation t = t.meta.generation
 let object_store t = t.store
 
 let export_meta t =
@@ -784,20 +613,11 @@ let export_meta t =
   Fsutil.read_file (meta_file t.root)
 
 let adopt_meta t content =
-  let* incoming = parse_meta t.root t.store content in
-  if incoming.generation <= t.generation then Ok false
+  let* incoming = Meta.parse content in
+  if incoming.generation <= t.meta.generation then Ok false
   else
-    let* () =
-      Fsutil.write_file_atomic ~site:"repo.save" ~backup:(backup_file t.root)
-        (meta_file t.root) content
-    in
-    t.commits <- incoming.commits;
-    t.stored <- incoming.stored;
-    t.branches <- incoming.branches;
-    t.tag_list <- incoming.tag_list;
-    t.head_branch <- incoming.head_branch;
-    t.next_id <- incoming.next_id;
-    t.generation <- incoming.generation;
+    let* () = write_meta t content in
+    t.meta <- incoming;
     (* Version contents are immutable so cached strings stay valid,
        but ids unknown to the new metadata must not linger. *)
     Hashtbl.reset t.cache;
@@ -807,123 +627,114 @@ let adopt_meta t content =
 
 (* ---- commits & branches ---- *)
 
-let head t = List.assoc_opt t.head_branch t.branches |> Option.fold ~none:None ~some:(fun v -> if v = 0 then None else Some v)
+let head t =
+  match List.assoc_opt t.meta.head t.meta.branches with
+  | Some v when v <> 0 -> Some v
+  | _ -> None
 
-let current_branch t = t.head_branch
-let branches t = List.filter (fun (_, v) -> v <> 0) t.branches
-let log t = t.commits
-let commit_info t id = List.find_opt (fun c -> c.id = id) t.commits
+let current_branch t = t.meta.head
+let branches t = List.filter (fun (_, v) -> v <> 0) t.meta.branches
+let log t = t.meta.commits
+let commit_info t id = List.find_opt (fun c -> c.id = id) t.meta.commits
 
 let store_full t content =
   let* digest = Object_store.put t.store content in
   Ok (Full digest)
 
+(* Each entry's objects are written first and its version added to a
+   metadata value built on the side — later entries chain onto earlier
+   ones through it. The batch is installed by the one [save] at the
+   end, so a failure anywhere leaves the handle as it was. *)
+let import_versions t entries =
+  let add (m : Meta.t) (message, parents, content) =
+    let* () =
+      match List.find_opt (fun p -> not (IM.mem p m.stored)) parents with
+      | Some p -> Error (Printf.sprintf "unknown parent version %d" p)
+      | None -> Ok ()
+    in
+    let* stored =
+      match parents with
+      | [] -> store_full t content
+      | p :: _ ->
+          let* parent_content = rebuild t m.stored p in
+          let encoded =
+            Line_diff.encode (Line_diff.diff parent_content content)
+          in
+          if String.length encoded < String.length content then
+            let* digest = Object_store.put t.store encoded in
+            Ok (Delta_from (p, digest))
+          else store_full t content
+    in
+    let id = m.next_id in
+    Ok
+      {
+        m with
+        next_id = id + 1;
+        stored = IM.add id stored m.stored;
+        commits =
+          { id; parents; message; timestamp = Unix.gettimeofday () }
+          :: m.commits;
+        branches = (m.head, id) :: List.remove_assoc m.head m.branches;
+      }
+  in
+  let rec go m ids = function
+    | [] ->
+        let* () = save t m in
+        Ok (List.rev ids)
+    | entry :: rest ->
+        let* m = add m entry in
+        go m ((m.next_id - 1) :: ids) rest
+  in
+  go t.meta [] entries
+
 let commit t ?(message = "") ?parents content =
   let parents =
-    match parents with
-    | Some ps -> ps
-    | None -> ( match head t with None -> [] | Some h -> [ h ])
+    match parents with Some ps -> ps | None -> Option.to_list (head t)
   in
-  let* () =
-    List.fold_left
-      (fun acc p ->
-        let* () = acc in
-        if Hashtbl.mem t.stored p then Ok ()
-        else Error (Printf.sprintf "unknown parent version %d" p))
-      (Ok ()) parents
-  in
-  let id = t.next_id in
-  (* all object writes happen before any in-memory mutation, so a
-     failed put leaves the repository exactly as it was *)
-  let* stored =
-    match parents with
-    | [] -> store_full t content
-    | p :: _ ->
-        let* parent_content = checkout_uncached t p in
-        let delta = Line_diff.diff parent_content content in
-        let encoded = Line_diff.encode delta in
-        if String.length encoded < String.length content then
-          let* digest = Object_store.put t.store encoded in
-          Ok (Delta_from (p, digest))
-        else store_full t content
-  in
-  let snap = snapshot t in
-  t.next_id <- id + 1;
-  Hashtbl.replace t.stored id stored;
-  t.commits <-
-    { id; parents; message; timestamp = Unix.gettimeofday () } :: t.commits;
-  t.branches <-
-    (t.head_branch, id)
-    :: List.remove_assoc t.head_branch t.branches;
-  let* () = save_rollback t snap in
-  Ok id
+  let* ids = import_versions t [ (message, parents, content) ] in
+  Ok (List.hd ids)
 
-let create_branch t name ?at () =
-  if not (valid_ref_name name) then
+(* A new branch or tag: a valid name not yet in [existing], at [at] or
+   the current head, which must be a stored version. *)
+let new_ref t ~kind existing name at =
+  if not (Meta.valid_ref_name name) then
     Error
       (Printf.sprintf
-         "invalid branch name %S (must be non-empty printable characters \
+         "invalid %s name %S (must be non-empty printable characters \
           without whitespace)"
-         name)
-  else if List.mem_assoc name t.branches then
-    Error (Printf.sprintf "branch %s already exists" name)
-  else begin
-    let target =
-      match at with Some v -> Some v | None -> head t
-    in
-    match target with
-    | None -> Error "cannot branch from an empty repository"
-    | Some v ->
-        if not (Hashtbl.mem t.stored v) then
-          Error (Printf.sprintf "unknown version %d" v)
-        else begin
-          let snap = snapshot t in
-          t.branches <- (name, v) :: t.branches;
-          t.head_branch <- name;
-          save_rollback t snap
-        end
-  end
+         kind name)
+  else if List.mem_assoc name existing then
+    Error (Printf.sprintf "%s %s already exists" kind name)
+  else
+    match if at = None then head t else at with
+    | None -> Error (Printf.sprintf "cannot %s in an empty repository" kind)
+    | Some v when not (IM.mem v t.meta.stored) ->
+        Error (Printf.sprintf "unknown version %d" v)
+    | Some v -> Ok v
+
+let create_branch t name ?at () =
+  let* v = new_ref t ~kind:"branch" t.meta.branches name at in
+  save t { t.meta with branches = (name, v) :: t.meta.branches; head = name }
 
 let switch t name =
-  if List.mem_assoc name t.branches then begin
-    let snap = snapshot t in
-    t.head_branch <- name;
-    save_rollback t snap
-  end
+  if List.mem_assoc name t.meta.branches then save t { t.meta with head = name }
   else Error (Printf.sprintf "no branch named %s" name)
 
 let tag t name ?at () =
-  if not (valid_ref_name name) then
-    Error
-      (Printf.sprintf
-         "invalid tag name %S (must be non-empty printable characters \
-          without whitespace)"
-         name)
-  else if List.mem_assoc name t.tag_list then
-    Error (Printf.sprintf "tag %s already exists" name)
-  else
-    match (match at with Some v -> Some v | None -> head t) with
-    | None -> Error "cannot tag in an empty repository"
-    | Some v ->
-        if not (Hashtbl.mem t.stored v) then
-          Error (Printf.sprintf "unknown version %d" v)
-        else begin
-          let snap = snapshot t in
-          t.tag_list <- (name, v) :: t.tag_list;
-          save_rollback t snap
-        end
+  let* v = new_ref t ~kind:"tag" t.meta.tags name at in
+  save t { t.meta with tags = (name, v) :: t.meta.tags }
 
-let tags t = List.sort compare t.tag_list
+let tags t = List.sort compare t.meta.tags
 
 let resolve t name =
-  match List.assoc_opt name t.tag_list with
+  match List.assoc_opt name t.meta.tags with
   | Some v -> Some v
   | None -> (
-      match List.assoc_opt name t.branches with
+      match List.assoc_opt name t.meta.branches with
       | Some v when v <> 0 -> Some v
       | _ -> (
           match int_of_string_opt name with
-          | Some v when Hashtbl.mem t.stored v -> Some v
+          | Some v when IM.mem v t.meta.stored -> Some v
           | _ -> None))
 
 let diff t a b =
@@ -932,179 +743,123 @@ let diff t a b =
   Ok (Line_diff.encode (Line_diff.diff ca cb))
 
 let verify t =
+  let stored = t.meta.stored in
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   (* every referenced object exists and matches its digest ([get]
      verifies content hashes on every read) *)
-  Hashtbl.iter
+  IM.iter
     (fun v s ->
       let digest = match s with Full d | Delta_from (_, d) -> d in
       match Object_store.get t.store digest with
       | Error e -> note "version %d: object unreadable (%s)" v e
       | Ok _ -> ())
-    t.stored;
+    stored;
   (* every version reconstructs *)
-  Hashtbl.iter
+  IM.iter
     (fun v _ ->
-      match checkout_uncached t v with
+      match rebuild t stored v with
       | Ok _ -> ()
       | Error e -> note "version %d: checkout failed (%s)" v e)
-    t.stored;
+    stored;
   (* commit parents all exist *)
   List.iter
     (fun c ->
       List.iter
         (fun p ->
-          if not (Hashtbl.mem t.stored p) then
+          if not (IM.mem p stored) then
             note "version %d: missing parent %d" c.id p)
         c.parents)
-    t.commits;
+    t.meta.commits;
   if Sys.file_exists (journal_file t.root) then
     note "unresolved optimize journal present (crash recovery incomplete)";
   if !problems = [] then Ok () else Error (List.rev !problems)
 
-let import_versions t entries =
-  let snap = snapshot t in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (message, parents, content) :: tl -> (
-        (* inline commit without per-version save *)
-        let* () =
-          List.fold_left
-            (fun acc p ->
-              let* () = acc in
-              if Hashtbl.mem t.stored p then Ok ()
-              else Error (Printf.sprintf "unknown parent version %d" p))
-            (Ok ()) parents
+(* ---- stats and predicted Φ ---- *)
+
+(* The one Φ walk (Lemma 1 over stored bytes): each version's chain
+   depth and recreation cost, the sum of object sizes along its delta
+   chain. Memoised, so every referenced object is read once. A chain
+   ends at a missing parent, and — through the placeholder entered
+   before recursing — at a version it already passed, so hand-edited
+   or peer-pushed cyclic metadata still yields finite values. Returns
+   the per-version map and the object-size lookup. *)
+let phi_walk t =
+  let stored = t.meta.stored in
+  let sizes = Hashtbl.create 64 in
+  let size d =
+    match Hashtbl.find_opt sizes d with
+    | Some n -> n
+    | None ->
+        let n =
+          match Object_store.get t.store d with
+          | Ok c -> String.length c
+          | Error _ -> 0
         in
-        let id = t.next_id in
-        let* stored =
-          match parents with
-          | [] -> store_full t content
-          | p :: _ ->
-              let* parent_content = checkout_uncached t p in
-              let delta = Line_diff.diff parent_content content in
-              let encoded = Line_diff.encode delta in
-              if String.length encoded < String.length content then
-                let* digest = Object_store.put t.store encoded in
-                Ok (Delta_from (p, digest))
-              else store_full t content
-        in
-        t.next_id <- id + 1;
-        Hashtbl.replace t.stored id stored;
-        t.commits <-
-          { id; parents; message; timestamp = Unix.gettimeofday () }
-          :: t.commits;
-        t.branches <-
-          (t.head_branch, id) :: List.remove_assoc t.head_branch t.branches;
-        go (id :: acc) tl)
+        Hashtbl.replace sizes d n;
+        n
   in
-  match go [] entries with
-  | Error e ->
-      restore t snap;
-      Error e
-  | Ok ids ->
-      let* () = save_rollback t snap in
-      Ok ids
-
-(* ---- stats ---- *)
-
-let object_size t digest =
-  match Object_store.get t.store digest with
-  | Ok c -> String.length c
-  | Error _ -> 0
+  let memo = Hashtbl.create 64 in
+  let rec walk v =
+    match Hashtbl.find_opt memo v with
+    | Some r -> r
+    | None ->
+        Hashtbl.replace memo v (0, 0.0);
+        let r =
+          match IM.find_opt v stored with
+          | None -> (0, 0.0)
+          | Some (Full d) -> (0, float_of_int (size d))
+          | Some (Delta_from (p, d)) ->
+              let depth, cost = walk p in
+              (depth + 1, float_of_int (size d) +. cost)
+        in
+        Hashtbl.replace memo v r;
+        r
+  in
+  (IM.mapi (fun v _ -> walk v) stored, size)
 
 let stats t =
-  let n_versions = Hashtbl.length t.stored in
+  let phi, size = phi_walk t in
+  let n_versions = IM.cardinal t.meta.stored in
   let n_full =
-    Hashtbl.fold
+    IM.fold
       (fun _ s acc -> match s with Full _ -> acc + 1 | _ -> acc)
-      t.stored 0
+      t.meta.stored 0
   in
   (* Unique blobs only: dedup shared digests. *)
-  let digests = SS.of_list (referenced_digests t) in
   let storage_bytes =
-    SS.fold (fun d acc -> acc + object_size t d) digests 0
+    SS.fold (fun d acc -> acc + size d) (SS.of_list (referenced_digests t)) 0
   in
-  (* Chain metrics. *)
-  let depth_memo = Hashtbl.create 64 in
-  let cost_memo = Hashtbl.create 64 in
-  let rec depth v =
-    match Hashtbl.find_opt depth_memo v with
-    | Some d -> d
-    | None ->
-        let d =
-          match Hashtbl.find_opt t.stored v with
-          | Some (Delta_from (p, _)) -> 1 + depth p
-          | _ -> 0
-        in
-        Hashtbl.replace depth_memo v d;
-        d
-  and cost v =
-    match Hashtbl.find_opt cost_memo v with
-    | Some c -> c
-    | None ->
-        let c =
-          match Hashtbl.find_opt t.stored v with
-          | Some (Full d) -> float_of_int (object_size t d)
-          | Some (Delta_from (p, d)) ->
-              float_of_int (object_size t d) +. cost p
-          | None -> 0.0
-        in
-        Hashtbl.replace cost_memo v c;
-        c
+  let max_chain, sum_r, max_r =
+    IM.fold
+      (fun _ (d, c) (max_d, sum_c, max_c) ->
+        (max max_d d, sum_c +. c, Float.max max_c c))
+      phi (0, 0.0, 0.0)
   in
-  let max_chain = ref 0 and sum_r = ref 0.0 and max_r = ref 0.0 in
-  Hashtbl.iter
-    (fun v _ ->
-      let d = depth v and c = cost v in
-      if d > !max_chain then max_chain := d;
-      sum_r := !sum_r +. c;
-      if c > !max_r then max_r := c)
-    t.stored;
   {
     n_versions;
     storage_bytes;
     n_full;
     n_delta = n_versions - n_full;
-    max_chain = !max_chain;
-    sum_recreation_bytes = !sum_r;
-    max_recreation_bytes = !max_r;
+    max_chain;
+    sum_recreation_bytes = sum_r;
+    max_recreation_bytes = max_r;
   }
 
 let storage_parents t =
-  Hashtbl.fold
-    (fun v s acc ->
-      match s with
-      | Full _ -> (0, v) :: acc
-      | Delta_from (p, _) -> (p, v) :: acc)
-    t.stored []
-  |> List.sort (fun (_, a) (_, b) -> compare a b)
+  IM.bindings t.meta.stored
+  |> List.map (function
+       | v, Full _ -> (0, v)
+       | v, Delta_from (p, _) -> (p, v))
 
 (* ---- workload telemetry: drift and observed weights ---- *)
 
-(* The current plan's per-version recreation cost in stored bytes
-   (Σ object sizes along the delta chain): the predicted Φ the drift
-   score and [dsvc top] compare observations against. Cheap relative
-   to [reveal_graph] — it reads only the objects the plan references. *)
+(* The current plan's predicted Φ per version, ascending id: what the
+   drift score and [dsvc top] compare observations against. Cheap
+   relative to [reveal_graph] — it reads only the objects the plan
+   references. *)
 let predicted_costs t =
-  let memo = Hashtbl.create 64 in
-  let rec cost v =
-    match Hashtbl.find_opt memo v with
-    | Some c -> c
-    | None ->
-        let c =
-          match Hashtbl.find_opt t.stored v with
-          | Some (Full d) -> float_of_int (object_size t d)
-          | Some (Delta_from (p, d)) ->
-              float_of_int (object_size t d) +. cost p
-          | None -> 0.0
-        in
-        Hashtbl.replace memo v c;
-        c
-  in
-  Hashtbl.fold (fun v _ acc -> (v, cost v) :: acc) t.stored []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  IM.bindings (fst (phi_walk t)) |> List.map (fun (v, (_, c)) -> (v, c))
 
 let drift_score t =
   let d = Telemetry.drift t.telemetry ~costs:(predicted_costs t) in
@@ -1119,7 +874,7 @@ let drift_score t =
    uniform, which is the same plan as not passing frequencies at
    all. *)
 let observed_freqs t =
-  let n = t.next_id - 1 in
+  let n = t.meta.next_id - 1 in
   if n <= 0 then None
   else begin
     let raw =
@@ -1152,7 +907,7 @@ let export_telemetry t =
 
 (* Hop-bounded pairs over the commit DAG (both directions). *)
 let hop_pairs t ~max_hops =
-  let ids = List.rev_map (fun c -> c.id) t.commits in
+  let ids = List.rev_map (fun c -> c.id) t.meta.commits in
   let adj = Hashtbl.create 64 in
   let add a b =
     let cur = Option.value (Hashtbl.find_opt adj a) ~default:[] in
@@ -1165,7 +920,7 @@ let hop_pairs t ~max_hops =
           add c.id p;
           add p c.id)
         c.parents)
-    t.commits;
+    t.meta.commits;
   let pairs = ref [] in
   List.iter
     (fun src ->
@@ -1191,7 +946,7 @@ let hop_pairs t ~max_hops =
 
 (* All version contents, index 1..n. *)
 let all_contents t =
-  let n = t.next_id - 1 in
+  let n = t.meta.next_id - 1 in
   let arr = Array.make (n + 1) "" in
   let rec go v =
     if v > n then Ok arr
@@ -1213,7 +968,7 @@ let all_contents t =
    identical for every [jobs]. *)
 let reveal_graph t ?(max_hops = 3) ?(extra_pairs = [])
     ?(jobs = Pool.default_jobs ()) () =
-  let n = t.next_id - 1 in
+  let n = t.meta.next_id - 1 in
   if n = 0 then Error "empty repository"
   else
     Trace.with_span "optimize.graph_construction" @@ fun () ->
@@ -1276,7 +1031,7 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
   Metrics.counter "dsvc_store_optimize_total"
     ~labels:[ ("strategy", strategy_name strategy) ]
     ~help:"Repo.optimize invocations, by strategy";
-  let n = t.next_id - 1 in
+  let n = t.meta.next_id - 1 in
   if n = 0 then Error "empty repository"
   else begin
     (* Observed weights only change the workload-aware LMG objective;
@@ -1346,8 +1101,9 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
               ("optimize: solver produced an invalid solution:\n"
               ^ String.concat "\n" problems)
     in
+    let old_stored = t.meta.stored in
     let current_parent v =
-      match Hashtbl.find_opt t.stored v with
+      match IM.find_opt v old_stored with
       | Some (Full _) -> Some 0
       | Some (Delta_from (p, _)) -> Some p
       | None -> None
@@ -1362,7 +1118,6 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
        over the domain pool; the [Object_store.put] calls stay
        sequential, in plan order, to keep fault-injection sites and
        store traffic identical to a jobs=1 run. *)
-    let new_stored = Hashtbl.copy t.stored in
     let changed =
       Array.of_list
         (List.filter
@@ -1372,7 +1127,7 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
     Metrics.counter "dsvc_store_optimize_objects_rewritten_total"
       ~by:(float_of_int (Array.length changed))
       ~help:"Versions whose stored object optimize rewrote";
-    let* () =
+    let* new_stored =
       Trace.with_span "optimize.materialize" @@ fun () ->
       let payloads =
         Pool.parallel_map ~jobs
@@ -1381,39 +1136,38 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
             else Line_diff.encode (Line_diff.diff contents.(p) contents.(v)))
           changed
       in
-      let rec put i acc =
-        if i = Array.length changed then acc
+      let rec put i stored =
+        if i = Array.length changed then Ok stored
         else
-          let* () = acc in
           let p, v = changed.(i) in
           let* digest = Object_store.put t.store payloads.(i) in
-          Hashtbl.replace new_stored v
-            (if p = 0 then Full digest else Delta_from (p, digest));
-          put (i + 1) (Ok ())
+          put (i + 1)
+            (IM.add v (if p = 0 then Full digest else Delta_from (p, digest))
+               stored)
       in
-      put 0 (Ok ())
+      put 0 old_stored
     in
     Faults.guard "optimize.after_objects";
     (* Phase 2: journal both maps. *)
-    let* () = write_journal t ~old_map:t.stored ~new_map:new_stored in
+    let* () = write_journal t ~old_map:old_stored ~new_map:new_stored in
     Faults.guard "optimize.after_journal";
-    (* Phase 3: swap the metadata. *)
-    let snap = snapshot t in
-    t.stored <- new_stored;
+    (* Phase 3: swap the metadata. A failed save installed nothing,
+       so the old plan stays authoritative and the journal goes. *)
     let* () =
-      match save t with
+      match save t { t.meta with stored = new_stored } with
       | Ok () -> Ok ()
       | Error e ->
-          restore t snap;
           remove_journal t;
           Error e
     in
     Faults.guard "optimize.after_swap";
     (* Phase 4: verify before destroying anything. *)
-    match Trace.with_span "optimize.verify" (fun () -> check_all_versions t) with
+    match
+      Trace.with_span "optimize.verify" (fun () ->
+          check_all_versions t new_stored)
+    with
     | Error e ->
-        restore t snap;
-        let* () = save t in
+        let* () = save t { t.meta with stored = old_stored } in
         remove_journal t;
         Error (Printf.sprintf "optimize verification failed, rolled back: %s" e)
     | Ok () ->
@@ -1436,7 +1190,7 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
    spends. Read-only: nothing is rewritten. *)
 let advise t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
     ?(threshold = 0.5) ?(k = 5) () =
-  let n = t.next_id - 1 in
+  let n = t.meta.next_id - 1 in
   if n = 0 then Error "empty repository"
   else begin
     let current_pairs =
@@ -1533,16 +1287,12 @@ let advise t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
    damaged — but together they may still cover every version). *)
 let recoverable_contents t =
   let maps =
-    t.stored
+    t.meta.stored
     :: (match read_journal t with
        | Some (old_map, new_map) -> [ old_map; new_map ]
        | None -> [])
   in
-  let entries =
-    List.concat_map
-      (fun m -> Hashtbl.fold (fun v s acc -> (v, s) :: acc) m [])
-      maps
-  in
+  let entries = List.concat_map IM.bindings maps in
   let recovered : (int, string) Hashtbl.t = Hashtbl.create 64 in
   let progress = ref true in
   while !progress do
@@ -1595,13 +1345,11 @@ let repair t =
   (* 3. Re-materialize broken versions from the recovered contents.
      Re-check each version as we go: fixing a base version heals its
      delta children for free. *)
-  let versions =
-    Hashtbl.fold (fun v _ acc -> v :: acc) t.stored [] |> List.sort compare
-  in
+  let stored = ref t.meta.stored in
   let rematerialized = ref [] and unrecoverable = ref [] in
-  List.iter
-    (fun v ->
-      match checkout_uncached t v with
+  IM.iter
+    (fun v _ ->
+      match rebuild t !stored v with
       | Ok _ -> ()
       | Error _ -> (
           match Hashtbl.find_opt recovered v with
@@ -1609,11 +1357,11 @@ let repair t =
           | Some content -> (
               match Object_store.put t.store content with
               | Ok digest ->
-                  Hashtbl.replace t.stored v (Full digest);
+                  stored := IM.add v (Full digest) !stored;
                   rematerialized := v :: !rematerialized
               | Error _ -> unrecoverable := v :: !unrecoverable)))
-    versions;
-  let* () = save t in
+    t.meta.stored;
+  let* () = save t { t.meta with stored = !stored } in
   (* 4. Only a fully recovered repository may drop its safety nets:
      with everything reconstructible the journal is obsolete and
      unreferenced blobs (including aborted-optimize strays) can go. *)
@@ -1672,10 +1420,7 @@ let fsck_opt store ~path ~repair:do_repair =
           && Sys.file_exists (backup_file path)
         then
           let* backup = Fsutil.read_file (backup_file path) in
-          let* _probe =
-            let* probe_store = resolve_store store path in
-            parse_meta path probe_store backup
-          in
+          let* _probe = Meta.parse backup in
           let meta = meta_file path in
           (try Sys.rename meta (meta ^ ".corrupt") with Sys_error _ -> ());
           let* () =

@@ -146,9 +146,23 @@ let test_cyclic_stored_chain () =
   (match Repo.checkout repo 1 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "cycle must fail checkout");
-  match Repo.verify repo with
+  (match Repo.verify repo with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "verify must flag the cycle"
+  | Ok () -> Alcotest.fail "verify must flag the cycle");
+  (* the Φ walk behind stats and the drift score ends the chain at the
+     repeated version instead of recursing forever *)
+  let s = Repo.stats repo in
+  Alcotest.(check bool) "stats finite" true
+    (Float.is_finite s.Repo.sum_recreation_bytes
+    && Float.is_finite s.Repo.max_recreation_bytes
+    && s.Repo.max_chain <= 2);
+  let costs = Repo.predicted_costs repo in
+  Alcotest.(check (list int)) "predicted costs per version" [ 1; 2 ]
+    (List.map fst costs);
+  Alcotest.(check bool) "predicted costs finite" true
+    (List.for_all (fun (_, c) -> Float.is_finite c) costs);
+  Alcotest.(check bool) "drift finite" true
+    (Float.is_finite (Repo.drift_score repo))
 
 let test_archive_fuzz () =
   (* random byte flips in a packed archive never crash unpack *)
@@ -232,29 +246,79 @@ let check_contents dir expected =
         (ok (Repo.checkout repo (i + 1))))
     expected
 
+(* Every metadata mutation, with the metadata save failing: the call
+   returns [Error], the handle still shows exactly what a fresh open of
+   the directory shows, and the next mutation succeeds. *)
 let test_commit_save_failure_rolls_back () =
-  Faults.reset ();
-  let dir, repo, _ = mk_chain_repo () in
-  let head_before = Repo.head repo in
-  let log_before = List.length (Repo.log repo) in
-  Faults.arm ~site:"repo.save" (Faults.Fail "injected: disk full");
-  (match Repo.commit repo ~message:"doomed" "entirely new content" with
-  | Ok _ -> Alcotest.fail "commit must fail when the metadata save fails"
-  | Error e -> Alcotest.(check bool) "error surfaced" true (contains e "disk full"));
-  (* in-memory state rolled back: the failed commit left no trace *)
-  Alcotest.(check (option int)) "head unchanged" head_before (Repo.head repo);
-  Alcotest.(check int) "log unchanged" log_before (List.length (Repo.log repo));
-  (* no temp file leaked next to the metadata *)
-  let leaked =
-    Sys.readdir (Filename.concat dir ".dsvc")
-    |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+  let ok_unit r = Result.map ignore r in
+  let mutations =
+    [
+      ("commit", fun r -> ok_unit (Repo.commit r ~message:"doomed" "new"));
+      ( "import_versions",
+        (* the second entry chains onto the first *)
+        fun r ->
+          ok_unit
+            (Repo.import_versions r [ ("a", [ 4 ], "x"); ("b", [ 5 ], "y") ]) );
+      ("create_branch", fun r -> Repo.create_branch r "side" ());
+      ("switch", fun r -> Repo.switch r "main");
+      ("tag", fun r -> Repo.tag r "t1" ~at:2 ());
+      ( "adopt_meta",
+        fun r ->
+          (* a peer's next generation: ours plus one tag *)
+          let pushed =
+            String.split_on_char '\n' (ok (Repo.export_meta r))
+            |> List.map (fun l ->
+                   if not (String.starts_with ~prefix:"gen " l) then l
+                   else
+                     Printf.sprintf "gen %d\ntag peer 2"
+                       (Repo.generation r + 1))
+            |> String.concat "\n"
+          in
+          ok_unit (Repo.adopt_meta r pushed) );
+      ("optimize", fun r -> ok_unit (Repo.optimize r Repo.Min_recreation));
+    ]
   in
-  Alcotest.(check (list string)) "no temp files" [] leaked;
-  (* the handle stays usable *)
-  let id = ok (Repo.commit repo ~message:"after" "recovered content") in
-  Alcotest.(check string) "later commit works" "recovered content"
-    (ok (Repo.checkout repo id))
+  (* timestamps aside: the file keeps them to the microsecond *)
+  let observe r =
+    ( List.map
+        (fun (c : Repo.commit_info) -> (c.id, c.parents, c.message))
+        (Repo.log r),
+      (Repo.branches r, Repo.tags r, Repo.current_branch r),
+      (Repo.storage_parents r, Repo.generation r) )
+  in
+  List.iter
+    (fun (name, mutate) ->
+      Faults.reset ();
+      let dir, repo, _ = mk_chain_repo () in
+      Faults.arm ~site:"repo.save" (Faults.Fail "injected: disk full");
+      (match mutate repo with
+      | Ok () -> Alcotest.failf "%s must fail when the save fails" name
+      | Error e ->
+          Alcotest.(check bool) (name ^ ": error surfaced") true
+            (contains e "disk full"));
+      Faults.reset ();
+      (* the failed mutation installed nothing: memory equals disk *)
+      let fresh = ok (Repo.open_repo ~path:dir) in
+      Alcotest.(check bool) (name ^ ": handle matches a fresh open") true
+        (observe repo = observe fresh);
+      Alcotest.(check bool) (name ^ ": no optimize journal left") false
+        (Repo.journal_pending repo);
+      (* no temp file leaked next to the metadata *)
+      let leaked =
+        Sys.readdir (Filename.concat dir ".dsvc")
+        |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+      in
+      Alcotest.(check (list string)) (name ^ ": no temp files") [] leaked;
+      (* the handle stays usable *)
+      (match mutate repo with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s after the failure: %s" name e);
+      let id = ok (Repo.commit repo ~message:"after" "recovered content") in
+      Alcotest.(check string) (name ^ ": later commit works")
+        "recovered content"
+        (ok (Repo.checkout repo id)))
+    mutations
 
 let test_torn_meta_write () =
   Faults.reset ();
@@ -574,6 +638,99 @@ let test_ledger_fixtures_roundtrip () =
   Alcotest.(check string) "timeseries re-renders byte-identically"
     timeseries_fixture (Timeseries.render ts)
 
+(* Random metadata values: merges, full and delta entries, tags,
+   generation 0 (rendered as no [gen] line), and messages with spaces,
+   tabs, quotes, backslashes and arbitrary bytes. Timestamps carry at
+   most 15 significant digits, which the file's [%.6f] reproduces
+   exactly. *)
+let gen_plan ids =
+  let open QCheck.Gen in
+  let hex = oneofl (List.of_seq (String.to_seq "0123456789abcdef")) in
+  let digest = string_size ~gen:hex (return 32) in
+  List.fold_left
+    (fun acc id ->
+      let* m = acc in
+      let* d = digest in
+      let* entry =
+        if id = 1 then return (Meta.Full d)
+        else
+          oneof
+            [
+              return (Meta.Full d);
+              map (fun p -> Meta.Delta_from (p, d)) (int_range 1 (id - 1));
+            ]
+      in
+      return (Meta.Int_map.add id entry m))
+    (return Meta.Int_map.empty) ids
+
+let gen_meta =
+  let open QCheck.Gen in
+  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
+  let message =
+    let tricky = oneofl [ ' '; '\t'; '"'; '\\' ] in
+    string_size
+      ~gen:(frequency [ (3, printable); (1, tricky); (1, char) ])
+      (int_bound 16)
+  in
+  let* n = int_bound 8 in
+  let ids = List.init n (fun i -> i + 1) in
+  let* commits =
+    flatten_l
+      (List.rev_map
+         (fun id ->
+           let* parents =
+             if id = 1 then return []
+             else
+               map (List.sort_uniq compare)
+                 (list_size (int_range 1 2) (int_range 1 (id - 1)))
+           in
+           let* message = message in
+           let* s = int_bound 999_999_999 in
+           let* us = int_bound 999_999 in
+           return
+             { Meta.id; parents; message;
+               timestamp = float_of_string (Printf.sprintf "%d.%06d" s us) })
+         ids)
+  in
+  let* stored = gen_plan ids in
+  let* branches = list_size (int_range 1 3) (pair name (int_bound n)) in
+  let* tags = small_list (pair name (int_range 1 (max 1 n))) in
+  let* head = name in
+  let* generation = int_bound 3 in
+  return
+    { Meta.commits; stored; branches; tags; head; next_id = n + 1; generation }
+
+let same_meta (a : Meta.t) (b : Meta.t) =
+  Meta.Int_map.bindings a.stored = Meta.Int_map.bindings b.stored
+  && { a with stored = Meta.Int_map.empty }
+     = { b with stored = Meta.Int_map.empty }
+
+let qcheck_meta_roundtrip =
+  QCheck.Test.make ~name:"meta render/parse round-trip" ~count:300
+    (QCheck.make ~print:Meta.render gen_meta)
+    (fun m ->
+      match Meta.parse (Meta.render m) with
+      | Ok m' -> same_meta m m'
+      | Error e -> QCheck.Test.fail_report e)
+
+let qcheck_journal_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_bound 8 in
+      let ids = List.init n (fun i -> i + 1) in
+      pair (gen_plan ids) (gen_plan ids))
+  in
+  QCheck.Test.make ~name:"journal render/parse round-trip" ~count:200
+    (QCheck.make
+       ~print:(fun (old_map, new_map) -> Meta.render_journal ~old_map ~new_map)
+       gen)
+    (fun (old_map, new_map) ->
+      match Meta.parse_journal (Meta.render_journal ~old_map ~new_map) with
+      | Ok (o, n) ->
+          Meta.Int_map.bindings o = Meta.Int_map.bindings old_map
+          && Meta.Int_map.bindings n = Meta.Int_map.bindings new_map
+      | Error e -> QCheck.Test.fail_report e)
+
 (* A file that lost its header must not load as an empty repository:
    fsck --repair would then collect every blob as unreferenced. *)
 let test_headerless_meta_restored_from_backup () =
@@ -624,4 +781,6 @@ let suite =
       test_ledger_fixtures_roundtrip;
     Alcotest.test_case "headerless meta restored from backup" `Quick
       test_headerless_meta_restored_from_backup;
+    QCheck_alcotest.to_alcotest qcheck_meta_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_journal_roundtrip;
   ]
