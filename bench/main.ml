@@ -7,19 +7,36 @@
      dune exec bench/main.exe -- --out data/    # also write CSV series
 
    Experiments: fig12 sec52 fig13 fig14 fig15 fig16 fig17 table2
-   table2b ablation micro perf cluster concurrency telemetry (micro =
-   Bechamel microbenchmarks of the algorithm kernels; table2b,
-   ablation, perf, cluster, concurrency and telemetry go beyond the
-   paper — cluster measures the replicated store of DESIGN.md §12,
-   concurrency the event-driven server core of §13 under 1/100/1000
-   keep-alive clients, telemetry the workload-drift observatory of
-   §15: a skewed Zipf stream raises the drift score and an observed-
-   weight re-plan lowers the access-weighted recreation cost).
+   table2b ablation micro perf cluster concurrency telemetry timeseries
+   (micro = Bechamel microbenchmarks of the algorithm kernels; table2b
+   onwards go beyond the paper — cluster measures the replicated store
+   of DESIGN.md §12, concurrency the event-driven server core of §13
+   under 1/100/1000 keep-alive clients, telemetry the workload-drift
+   observatory of §15: a skewed Zipf stream raises the drift score and
+   an observed-weight re-plan lowers the access-weighted recreation
+   cost, timeseries the metric ring of §16).
 
    Absolute numbers differ from the paper (its datasets are 100k
    versions of ~350 MB; ours are laptop-scale — see DESIGN.md §2);
    the *shape* of each result is what is reproduced, and each section
-   prints the shape expectation it is checked against. *)
+   prints the shape expectation it is checked against. Guarantees are
+   not shapes: a plan storing less than the minimum-storage tree or
+   recreating less than the SPT on the same graph, or a LAST plan
+   outside its α-bounds, makes the run exit 4.
+
+   Every run writes BENCH_2.json (--bench-out PATH). Wall time is
+   perfbench's to measure; the regression gate here counts work:
+
+     dune exec bench/main.exe -- --quick --jobs 1 --check \
+       fig12 sec52 fig13 fig14 fig15 fig16 fig17 table2 table2b ablation perf
+
+   --check turns observability on and compares every work counter (all
+   of meta.obs_counters but the *_seconds_sum timings) for equality
+   with the baseline (--baseline PATH, default bench/work_counters.json);
+   any counter missing, added or changed is named and exits 3. To
+   refresh the baseline after an intended change in work, add
+   --bench-out bench/work_counters.json to that command: the baseline
+   is read before the run overwrites it. *)
 
 open Versioning_core
 open Versioning_workload
@@ -73,78 +90,28 @@ let csv_write name header rows =
 
 (* ---- BENCH_2.json: the machine-readable run record ---- *)
 
-let exp_timings : (string * float) list ref = ref []
+type value = Int of int | Float of float | Str of string | Bool of bool
 
-type graph_run = { gjobs : int; gversions : int; gedges : int; gwall : float }
+(* The record's row sections, in output order. A row is one JSON
+   object whose keys keep the order they were given in. *)
+let sections =
+  [
+    "experiments"; "graph_construction"; "cluster"; "concurrency";
+    "telemetry"; "timeseries"; "connection_reuse";
+  ]
 
-let graph_runs : graph_run list ref = ref []
-
-type checkout_run = {
-  cmode : string; (* "cache_on" | "cache_off" *)
-  caccesses : int;
-  cwall : float;
-  chits : int;
-  cpartial : int;
-  cmisses : int;
-}
-
-let checkout_runs : checkout_run list ref = ref []
-
-type cluster_run = {
-  kmembers : int;
-  kdown : int;  (* members simulated unreachable during the run *)
-  kreplicas : int;
-  kblobs : int;
-  kreads : int;
-  kput_wall : float;
-  kget_wall : float;
-}
-
-let cluster_runs : cluster_run list ref = ref []
-
-type concurrency_run = {
-  qclients : int;
-  qrequests : int;
-  qwall : float;
-  qp50_ms : float;
-  qp99_ms : float;
-  qrps : float;
-  qreused : float;  (* keep-alive reuse counter delta over the run *)
-}
-
-let concurrency_runs : concurrency_run list ref = ref []
-
-type reuse_run = { rmode : string; rops : int; rwall : float; rops_per_s : float }
-
-let reuse_runs : reuse_run list ref = ref []
-
-type telemetry_run = {
-  tversions : int;
-  taccesses : int;
-  tdrift : float;  (* ledger drift score after the skewed stream *)
-  tuniform_weighted : float;  (* access-weighted Σ recreation, uniform plan *)
-  tobserved_weighted : float;  (* same, after --weights observed re-plan *)
-  tsaving : float;
-}
-
-let telemetry_runs : telemetry_run list ref = ref []
-
-type timeseries_run = {
-  zseries : int;
-  zticks : int;
-  zrecord_wall : float;
-  zrecords_per_s : float;
-  zquery_wall : float;
-  zrender_bytes : int;
-  zroundtrip_ok : bool;
-  zalert_evals : int;
-  zalert_wall : float;
-}
-
-let timeseries_runs : timeseries_run list ref = ref []
+let rows : (string, (string * value) list) Hashtbl.t = Hashtbl.create 8
+let add_row section fields = Hashtbl.add rows section fields
+let per_s n wall = if wall > 0.0 then float_of_int n /. wall else 0.0
 
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6f" f else "0.0"
+
+let json_value = function
+  | Int i -> string_of_int i
+  | Float f -> json_float f
+  | Str s -> Printf.sprintf "\"%s\"" (Metrics.json_escape s)
+  | Bool b -> string_of_bool b
 
 (* Run provenance for the bench record: the commit the numbers were
    measured at — the same stamp /health and `dsvc metrics --json`
@@ -154,20 +121,19 @@ let git_rev () = Versioning_util.Build_info.git_rev ()
 let emit_bench_json path ~quick ~jobs =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let comma_sep f = function
-    | [] -> ()
-    | x :: tl ->
-        f x;
-        List.iter (fun y -> add ","; f y) tl
+  (* comma-separated, one item per line *)
+  let lines indent items =
+    String.concat "," (List.map (fun x -> "\n" ^ indent ^ x) items)
   in
+  let pair k v = Printf.sprintf "\"%s\": %s" (Metrics.json_escape k) v in
   add "{\n";
   add "  \"schema\": \"dsvc-bench/2\",\n";
   add "  \"quick\": %b,\n" quick;
   add "  \"jobs\": %d,\n" jobs;
   add "  \"ncores\": %d,\n" (Pool.recommended_jobs ());
   (* Provenance + observability snapshot: which commit and DSVC_JOBS
-     setting produced these numbers, and (when DSVC_OBS is on) the
-     counters behind them, so regressions can be diffed run-to-run. *)
+     setting produced these numbers, and (when observability is on)
+     the counters behind them — what --check compares. *)
   add "  \"meta\": {\n";
   add "    \"git_rev\": \"%s\",\n" (Metrics.json_escape (git_rev ()));
   add "    \"ocaml\": \"%s\",\n"
@@ -176,107 +142,21 @@ let emit_bench_json path ~quick ~jobs =
     (Metrics.json_escape
        (Option.value (Sys.getenv_opt "DSVC_JOBS") ~default:""));
   add "    \"dsvc_obs\": %b,\n" (Obs.enabled ());
-  add "    \"obs_counters\": {";
-  comma_sep
-    (fun (k, v) ->
-      add "\n      \"%s\": %s" (Metrics.json_escape k) (json_float v))
-    (Metrics.snapshot_values ());
-  add "\n    }\n";
+  add "    \"obs_counters\": {%s\n    }\n"
+    (lines "      "
+       (List.map
+          (fun (k, v) -> pair k (json_float v))
+          (Metrics.snapshot_values ())));
   add "  },\n";
-  add "  \"experiments\": [";
-  comma_sep
-    (fun (name, t) -> add "\n    {\"name\": \"%s\", \"wall_s\": %s}" name (json_float t))
-    (List.rev !exp_timings);
-  add "\n  ],\n";
-  add "  \"graph_construction\": [";
-  comma_sep
-    (fun r ->
-      let rate =
-        if r.gwall > 0.0 then float_of_int r.gedges /. r.gwall else 0.0
-      in
-      add
-        "\n    {\"jobs\": %d, \"versions\": %d, \"edges\": %d, \"wall_s\": %s, \
-         \"edges_per_s\": %s}"
-        r.gjobs r.gversions r.gedges (json_float r.gwall) (json_float rate))
-    (List.rev !graph_runs);
-  add "\n  ],\n";
-  add "  \"checkout\": [";
-  comma_sep
-    (fun c ->
-      let mean_us =
-        if c.caccesses > 0 then c.cwall /. float_of_int c.caccesses *. 1e6
-        else 0.0
-      in
-      add
-        "\n    {\"mode\": \"%s\", \"accesses\": %d, \"wall_s\": %s, \
-         \"mean_us\": %s, \"hits\": %d, \"partial_hits\": %d, \"misses\": %d}"
-        c.cmode c.caccesses (json_float c.cwall) (json_float mean_us) c.chits
-        c.cpartial c.cmisses)
-    (List.rev !checkout_runs);
-  add "\n  ],\n";
-  (* Rows lead with "members", not "name", so the --check baseline
-     scanner cannot mistake them for experiment entries. *)
-  add "  \"cluster\": [";
-  comma_sep
-    (fun k ->
-      let rate =
-        if k.kget_wall > 0.0 then float_of_int k.kreads /. k.kget_wall else 0.0
-      in
-      add
-        "\n    {\"members\": %d, \"down\": %d, \"replicas\": %d, \"blobs\": %d, \
-         \"reads\": %d, \"put_wall_s\": %s, \"get_wall_s\": %s, \
-         \"reads_per_s\": %s}"
-        k.kmembers k.kdown k.kreplicas k.kblobs k.kreads
-        (json_float k.kput_wall) (json_float k.kget_wall) (json_float rate))
-    (List.rev !cluster_runs);
-  add "\n  ],\n";
-  (* Rows lead with "clients" / "mode" for the same scanner-safety
-     reason as the cluster rows above. *)
-  add "  \"concurrency\": [";
-  comma_sep
-    (fun q ->
-      add
-        "\n    {\"clients\": %d, \"requests\": %d, \"wall_s\": %s, \
-         \"p50_ms\": %s, \"p99_ms\": %s, \"requests_per_s\": %s, \
-         \"keepalive_reuse\": %s}"
-        q.qclients q.qrequests (json_float q.qwall) (json_float q.qp50_ms)
-        (json_float q.qp99_ms) (json_float q.qrps) (json_float q.qreused))
-    (List.rev !concurrency_runs);
-  add "\n  ],\n";
-  (* Rows lead with "versions" for the same scanner-safety reason. *)
-  add "  \"telemetry\": [";
-  comma_sep
-    (fun t ->
-      add
-        "\n    {\"versions\": %d, \"accesses\": %d, \"drift\": %s, \
-         \"uniform_weighted\": %s, \"observed_weighted\": %s, \"saving\": %s}"
-        t.tversions t.taccesses (json_float t.tdrift)
-        (json_float t.tuniform_weighted)
-        (json_float t.tobserved_weighted)
-        (json_float t.tsaving))
-    (List.rev !telemetry_runs);
-  add "\n  ],\n";
-  (* Rows lead with "series" for the same scanner-safety reason. *)
-  add "  \"timeseries\": [";
-  comma_sep
-    (fun z ->
-      add
-        "\n    {\"series\": %d, \"ticks\": %d, \"record_wall_s\": %s, \
-         \"records_per_s\": %s, \"query_wall_s\": %s, \"render_bytes\": %d, \
-         \"roundtrip_ok\": %b, \"alert_evals\": %d, \"alert_wall_s\": %s}"
-        z.zseries z.zticks (json_float z.zrecord_wall)
-        (json_float z.zrecords_per_s)
-        (json_float z.zquery_wall) z.zrender_bytes z.zroundtrip_ok
-        z.zalert_evals (json_float z.zalert_wall))
-    (List.rev !timeseries_runs);
-  add "\n  ],\n";
-  add "  \"connection_reuse\": [";
-  comma_sep
-    (fun r ->
-      add "\n    {\"mode\": \"%s\", \"ops\": %d, \"wall_s\": %s, \"ops_per_s\": %s}"
-        r.rmode r.rops (json_float r.rwall) (json_float r.rops_per_s))
-    (List.rev !reuse_runs);
-  add "\n  ]\n}\n";
+  let section name =
+    let obj fields =
+      let kvs = List.map (fun (k, v) -> pair k (json_value v)) fields in
+      "{" ^ String.concat ", " kvs ^ "}"
+    in
+    Printf.sprintf "  \"%s\": [%s\n  ]" name
+      (lines "    " (List.rev_map obj (Hashtbl.find_all rows name)))
+  in
+  add "%s\n}\n" (String.concat ",\n" (List.map section sections));
   match
     Fsutil.write_file_atomic ~fsync:false ~site:"bench.json" path
       (Buffer.contents buf)
@@ -284,21 +164,69 @@ let emit_bench_json path ~quick ~jobs =
   | Ok () -> Printf.printf "\nwrote %s\n" path
   | Error e -> Printf.eprintf "bench json %s: %s\n%!" path e
 
-(* Minimal scan of a checked-in bench JSON for its per-experiment
-   wall-clocks. Keyed on the exact [emit_bench_json] output: only
-   experiment entries start with [{"name": ...] (graph_construction
-   uses "jobs", checkout uses "mode"), so splitting on '{' and
-   pattern-matching each chunk is enough — no JSON parser needed. *)
-let parse_baseline_experiments content =
-  String.split_on_char '{' content
-  |> List.filter_map (fun chunk ->
-         match
-           Scanf.sscanf chunk " \"name\": %S, \"wall_s\": %f" (fun n w -> (n, w))
-         with
-         | pair -> Some pair
-         | exception Scanf.Scan_failure _ -> None
-         | exception End_of_file -> None
-         | exception Failure _ -> None)
+(* ---- --check: the work-counter gate ---- *)
+
+(* Every observability counter except the *_seconds_sum timings counts
+   work, so two runs of the same experiments agree on it exactly. *)
+let is_work_counter name =
+  let family =
+    match String.index_opt name '{' with
+    | Some i -> String.sub name 0 i
+    | None -> name
+  in
+  not (String.ends_with ~suffix:"_seconds_sum" family)
+
+(* Values are compared as their recorded text. *)
+let work_counters () =
+  List.filter_map
+    (fun (k, v) -> if is_work_counter k then Some (k, json_float v) else None)
+    (Metrics.snapshot_values ())
+
+(* The work counters of a record written by [emit_bench_json]: its
+   obs_counters block holds one "name": value pair per line. *)
+let baseline_counters content =
+  let rec block = function
+    | [] -> []
+    | l :: tl when String.trim l = "\"obs_counters\": {" -> pairs tl
+    | _ :: tl -> block tl
+  and pairs = function
+    | [] -> []
+    | l :: tl -> (
+        match Scanf.sscanf l " %S : %[^,]" (fun k v -> (k, String.trim v)) with
+        | kv -> kv :: pairs tl
+        | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> [])
+  in
+  List.filter (fun (k, _) -> is_work_counter k)
+    (block (String.split_on_char '\n' content))
+
+let counter_diffs ~baseline current =
+  List.filter_map
+    (fun (k, v) ->
+      match List.assoc_opt k baseline with
+      | None -> Some (Printf.sprintf "%s added (%s)" k v)
+      | Some b when b <> v -> Some (Printf.sprintf "%s changed: %s -> %s" k b v)
+      | Some _ -> None)
+    current
+  @ List.filter_map
+      (fun (k, b) ->
+        if List.mem_assoc k current then None
+        else Some (Printf.sprintf "%s missing (baseline %s)" k b))
+      baseline
+
+(* ---- Must-hold claims ---- *)
+
+(* A plan that beats a proven optimum, or a LAST plan outside its
+   published bounds, is a bug rather than a shape: each violation
+   names the figure and the plan, and fails the run (exit 4) once the
+   record is written. *)
+let violations = ref []
+
+let claim ~fig ~plan what holds =
+  if not holds then
+    violations := Printf.sprintf "%s, %s: %s" fig plan what :: !violations
+
+(* [a <= b] up to a 1e-9 relative tolerance *)
+let leq a b = a <= b +. (1e-9 *. Float.abs b)
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -317,47 +245,31 @@ let base_and_spt g =
 let fig12 datasets =
   header "Figure 12: dataset properties and normalized delta sizes";
   Printf.printf "%-28s %10s %10s %10s %10s\n" "" "DC" "LC" "BF" "LF";
-  let cell fmt v = Printf.sprintf fmt v in
-  let rows = ref [] in
-  let add name values = rows := (name, values) :: !rows in
   let per_ds = List.map (fun (d : Recipes.dataset) ->
       let g = d.aux in
       let base, spt = base_and_spt g in
       (d, base, spt))
       datasets
   in
-  add "Number of versions"
-    (List.map (fun (d, _, _) ->
-         cell "%d" (Aux_graph.n_versions d.Recipes.aux)) per_ds);
-  add "Number of deltas"
-    (List.map (fun ((d : Recipes.dataset), _, _) -> cell "%d" d.n_deltas) per_ds);
-  add "Average version size (KB)"
-    (List.map (fun ((d : Recipes.dataset), _, _) ->
-         cell "%.2f" (d.avg_version_size /. 1024.)) per_ds);
-  add "MCA storage (KB)"
-    (List.map (fun (_, base, _) ->
-         cell "%.1f" (Storage_graph.storage_cost base /. 1024.)) per_ds);
-  add "MCA sum recreation (KB)"
-    (List.map (fun (_, base, _) ->
-         cell "%.0f" (Storage_graph.sum_recreation base /. 1024.)) per_ds);
-  add "MCA max recreation (KB)"
-    (List.map (fun (_, base, _) ->
-         cell "%.1f" (Storage_graph.max_recreation base /. 1024.)) per_ds);
-  add "SPT storage (KB)"
-    (List.map (fun (_, _, spt) ->
-         cell "%.1f" (Storage_graph.storage_cost spt /. 1024.)) per_ds);
-  add "SPT sum recreation (KB)"
-    (List.map (fun (_, _, spt) ->
-         cell "%.0f" (Storage_graph.sum_recreation spt /. 1024.)) per_ds);
-  add "SPT max recreation (KB)"
-    (List.map (fun (_, _, spt) ->
-         cell "%.1f" (Storage_graph.max_recreation spt /. 1024.)) per_ds);
-  List.iter
-    (fun (name, values) ->
-      Printf.printf "%-28s %10s %10s %10s %10s\n" name
-        (List.nth values 0) (List.nth values 1) (List.nth values 2)
-        (List.nth values 3))
-    (List.rev !rows);
+  (* one table row, one cell per dataset *)
+  let row name cell =
+    Printf.printf "%-28s%s\n" name
+      (String.concat ""
+         (List.map (fun x -> Printf.sprintf " %10s" (cell x)) per_ds))
+  in
+  let kb fmt cost sg = Printf.sprintf fmt (cost sg /. 1024.) in
+  let open Storage_graph in
+  row "Number of versions" (fun (d, _, _) ->
+      string_of_int (Aux_graph.n_versions d.Recipes.aux));
+  row "Number of deltas" (fun (d, _, _) -> string_of_int d.Recipes.n_deltas);
+  row "Average version size (KB)" (fun (d, _, _) ->
+      Printf.sprintf "%.2f" (d.Recipes.avg_version_size /. 1024.));
+  row "MCA storage (KB)" (fun (_, b, _) -> kb "%.1f" storage_cost b);
+  row "MCA sum recreation (KB)" (fun (_, b, _) -> kb "%.0f" sum_recreation b);
+  row "MCA max recreation (KB)" (fun (_, b, _) -> kb "%.1f" max_recreation b);
+  row "SPT storage (KB)" (fun (_, _, s) -> kb "%.1f" storage_cost s);
+  row "SPT sum recreation (KB)" (fun (_, _, s) -> kb "%.0f" sum_recreation s);
+  row "SPT max recreation (KB)" (fun (_, _, s) -> kb "%.1f" max_recreation s);
   subheader "normalized delta sizes (delta / avg version size)";
   List.iter
     (fun ((d : Recipes.dataset), _, _) ->
@@ -426,15 +338,58 @@ let sec52 (lf : Recipes.dataset) =
 (* Figures 13-15: tradeoff sweeps.                                     *)
 (* ------------------------------------------------------------------ *)
 
-type point = { label : string; storage : float; sum_r : float; max_r : float }
+type point = {
+  label : string;
+  tree : Storage_graph.t;
+  storage : float;
+  sum_r : float;
+  max_r : float;
+}
 
 let point label sg =
   {
     label;
+    tree = sg;
     storage = Storage_graph.storage_cost sg;
     sum_r = Storage_graph.sum_recreation sg;
     max_r = Storage_graph.max_recreation sg;
   }
+
+(* Problems 1 and 2 are solved exactly: no plan on the same graph
+   stores less than [base], or recreates less than [spt] in sum or at
+   worst. *)
+let check_optima ~fig base spt pts =
+  let b = point "base" base and s = point "SPT" spt in
+  List.iter
+    (fun p ->
+      let claim = claim ~fig ~plan:p.label in
+      claim "storage below the minimum-storage tree" (leq b.storage p.storage);
+      claim "sum recreation below SPT's" (leq s.sum_r p.sum_r);
+      claim "max recreation below SPT's" (leq s.max_r p.max_r))
+    pts
+
+(* LAST's guarantees on an undirected graph with Δ = Φ (§4.3): every
+   Ri ≤ α·SP(i), and storage ≤ (1 + 2/(α−1))·MST. [pts] are the
+   plans for [alphas], in order. *)
+let check_last ~fig g base spt alphas pts =
+  if Aux_graph.scenario g = `Undirected_prop then begin
+    let mst = Storage_graph.storage_cost base in
+    List.iter2
+      (fun alpha p ->
+        let claim = claim ~fig ~plan:p.label in
+        let r = Storage_graph.recreation_cost in
+        let over =
+          List.find_opt
+            (fun v -> not (leq (r p.tree v) (alpha *. r spt v)))
+            (List.init (Aux_graph.n_versions g) succ)
+        in
+        claim
+          (Printf.sprintf "R%d above alpha x SP" (Option.value over ~default:0))
+          (over = None);
+        claim "storage above (1 + 2/(alpha-1)) x MST"
+          (leq p.storage ((1.0 +. (2.0 /. (alpha -. 1.0))) *. mst)))
+      alphas pts
+  end
 
 let sweep_lmg g base spt factors =
   let cmin = Storage_graph.storage_cost base in
@@ -508,6 +463,7 @@ let fig13 datasets =
         @ sweep_last g base [ 1.25; 1.5; 2.0; 3.0; 5.0 ]
         @ sweep_gith g [ (0, 10); (0, 50); (10, 50); (50, 50) ]
       in
+      check_optima ~fig:("fig13 " ^ d.id) base spt pts;
       print_points ~csv:("fig13_" ^ d.id) ~value:(fun p -> p.sum_r)
         ~value_name:"sum recreation" pts)
     datasets;
@@ -533,6 +489,7 @@ let fig14 datasets =
         @ sweep_mp g spt [ 1.0; 1.25; 1.5; 2.0; 3.0; 5.0 ]
         @ sweep_last g base [ 1.25; 1.5; 2.0; 3.0; 5.0 ]
       in
+      check_optima ~fig:("fig14 " ^ d.id) base spt pts;
       print_points ~csv:("fig14_" ^ d.id) ~value:(fun p -> p.max_r)
         ~value_name:"max recreation" pts)
     datasets;
@@ -553,11 +510,16 @@ let fig15 datasets =
            "dataset %s (undirected)  [MST = %.0f, min sumR = %.0f]" d.id
            (Storage_graph.storage_cost base)
            (Storage_graph.sum_recreation spt));
+      let alphas = [ 1.25; 1.5; 2.0; 3.0 ] in
+      let lasts = sweep_last g base alphas in
       let pts =
         sweep_lmg g base spt [ 1.05; 1.1; 1.25; 1.5; 2.0; 3.0 ]
         @ sweep_mp g spt [ 1.0; 1.25; 1.5; 2.0; 3.0 ]
-        @ sweep_last g base [ 1.25; 1.5; 2.0; 3.0 ]
+        @ lasts
       in
+      let fig = "fig15 " ^ d.id in
+      check_optima ~fig base spt pts;
+      check_last ~fig g base spt alphas lasts;
       print_points ~csv:("fig15_" ^ d.id) ~value:(fun p -> p.sum_r)
         ~value_name:"sum recreation" pts;
       Printf.printf "\n(maxR view, as in Figure 15d)\n";
@@ -598,6 +560,11 @@ let fig16 datasets seed =
           let budget = f *. cmin in
           let blind = Lmg.solve g ~base ~spt ~budget () in
           let aware = Lmg.solve g ~base ~spt ~budget ~freqs () in
+          check_optima ~fig:("fig16 " ^ d.id) base spt
+            [
+              point (Printf.sprintf "LMG %.2fx" f) blind;
+              point (Printf.sprintf "LMG-W %.2fx" f) aware;
+            ];
           let wb = Storage_graph.weighted_recreation blind ~freqs in
           let wa = Storage_graph.weighted_recreation aware ~freqs in
           rows :=
@@ -687,40 +654,42 @@ let fig17 ~quick seed =
 (* Table 2: ILP (exact) vs MP on small all-pairs datasets.             *)
 (* ------------------------------------------------------------------ *)
 
+(* A small branchy history with a delta revealed between every pair of
+   versions, as Table 2 needs for the exact solver. *)
+let all_pairs_graph ~name ~rows ~cols ~n rng =
+  let history =
+    History_gen.generate
+      {
+        History_gen.n_commits = n;
+        branch_interval = 3;
+        branch_probability = 0.5;
+        branch_limit = 2;
+        branch_length = 3;
+        merge_probability = 0.2;
+      }
+      rng
+  in
+  let data =
+    Dataset_gen.generate ~name history
+      {
+        Dataset_gen.default_params with
+        initial_rows = rows;
+        initial_cols = cols;
+        edit_intensity = 0.08;
+        max_hops = 2;
+      }
+      rng
+  in
+  Dataset_gen.all_pairs_aux ~contents:data.Dataset_gen.contents
+    ~mode:Dataset_gen.Line_directed
+
 let table2 ~quick seed =
   header "Table 2: exact (ILP-equivalent B&B) vs MP, max-recreation bound";
   let sizes = if quick then [ 10; 15 ] else [ 15; 25; 50 ] in
   List.iter
     (fun n ->
       let rng = Prng.create ~seed:(seed + n) in
-      let history =
-        History_gen.generate
-          {
-            History_gen.n_commits = n;
-            branch_interval = 3;
-            branch_probability = 0.5;
-            branch_limit = 2;
-            branch_length = 3;
-            merge_probability = 0.2;
-          }
-          rng
-      in
-      let data =
-        Dataset_gen.generate ~name:"t2" history
-          {
-            Dataset_gen.default_params with
-            initial_rows = 60;
-            initial_cols = 6;
-            edit_intensity = 0.08;
-            max_hops = 2;
-            (* contents only; graph rebuilt below *)
-          }
-          rng
-      in
-      let g =
-        Dataset_gen.all_pairs_aux ~contents:data.Dataset_gen.contents
-          ~mode:Dataset_gen.Line_directed
-      in
+      let g = all_pairs_graph ~name:"t2" ~rows:60 ~cols:6 ~n rng in
       let dist = Spt.distances g in
       let maxd = Array.fold_left Float.max 0.0 dist in
       Printf.printf "\nv%d (theta in KB, storage in KB):\n" n;
@@ -772,35 +741,13 @@ let table2b ~quick seed =
   List.iter
     (fun n ->
       let rng = Prng.create ~seed:(seed + n + 1000) in
-      let history =
-        History_gen.generate
-          {
-            History_gen.n_commits = n;
-            branch_interval = 3;
-            branch_probability = 0.5;
-            branch_limit = 2;
-            branch_length = 3;
-            merge_probability = 0.2;
-          }
-          rng
-      in
-      let data =
-        Dataset_gen.generate ~name:"t2b" history
-          {
-            Dataset_gen.default_params with
-            initial_rows = 40;
-            initial_cols = 5;
-            edit_intensity = 0.08;
-            max_hops = 2;
-          }
-          rng
-      in
-      let g =
-        Dataset_gen.all_pairs_aux ~contents:data.Dataset_gen.contents
-          ~mode:Dataset_gen.Line_directed
-      in
+      let g = all_pairs_graph ~name:"t2b" ~rows:40 ~cols:5 ~n rng in
       let base, spt = base_and_spt g in
       let cmin = Storage_graph.storage_cost base in
+      let check label f sg =
+        check_optima ~fig:(Printf.sprintf "table2b v%d" n) base spt
+          [ point (Printf.sprintf "%s %.2fx" label f) sg ]
+      in
       Printf.printf "\nv%d (budget as xMCA, sumR in KB):\n" n;
       let factors = [ 1.05; 1.1; 1.25; 1.5; 2.0 ] in
       Printf.printf "%-10s" "budget";
@@ -816,6 +763,7 @@ let table2b ~quick seed =
           in
           match r.Exact.tree with
           | Some sg ->
+              check "exact" f sg;
               Printf.printf "%9.2f%s"
                 (Storage_graph.sum_recreation sg /. 1024.)
                 (if r.Exact.optimal then " " else "*")
@@ -825,6 +773,7 @@ let table2b ~quick seed =
       List.iter
         (fun f ->
           let sg = Lmg.solve g ~base ~spt ~budget:(f *. cmin) () in
+          check "LMG" f sg;
           Printf.printf "%9.2f " (Storage_graph.sum_recreation sg /. 1024.))
         factors;
       print_newline ())
@@ -1163,51 +1112,24 @@ let rec rm_rf path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
-let perf ~quick ~jobs seed =
-  header "Perf: parallel graph construction and checkout chain cache";
-  let ncores = Pool.recommended_jobs () in
-  (* Graph construction (the ⟨Δ,Φ⟩ reveal — the pipeline's dominant
-     cost) at jobs ∈ {1, --jobs, ncores}. Each run regenerates the
-     same history from the same seed, so the work is identical and
-     only the domain count varies. *)
-  let job_list = List.sort_uniq compare [ 1; jobs; ncores ] in
-  let n = if quick then 300 else 1200 in
-  let params = { Cost_gen.default_params with max_hops = 5; reveal_cap = 12 } in
-  subheader
-    (Printf.sprintf "aux-graph construction, %d versions (ncores=%d)" n ncores);
-  Printf.printf "%-8s %10s %12s %14s\n" "jobs" "edges" "wall (s)" "edges/s";
-  List.iter
-    (fun j ->
-      let rng = Prng.create ~seed:(seed + 23) in
-      let history =
-        History_gen.generate (History_gen.flat_params ~n_commits:n) rng
-      in
-      let (g, t) = time (fun () -> Cost_gen.generate ~jobs:j history params rng) in
-      let edges = Versioning_graph.Digraph.n_edges (Aux_graph.graph g) in
-      graph_runs := { gjobs = j; gversions = n; gedges = edges; gwall = t } :: !graph_runs;
-      Printf.printf "%-8d %10d %12.3f %14.0f\n" j edges t
-        (if t > 0.0 then float_of_int edges /. t else 0.0))
-    job_list;
-  (* Checkout latency against a real on-disk repository whose versions
-     sit on commit-order delta chains, replaying a Zipf stream with
-     the materialization cache off and then on (cold in both modes:
-     re-enabling starts from an empty table). *)
-  let nv = if quick then 60 else 150 in
-  let len = if quick then 400 else 2000 in
-  subheader
-    (Printf.sprintf "checkout latency, %d chained versions, %d accesses" nv len);
+(* A fresh on-disk repository in a per-process temp directory. *)
+let temp_repo name =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dsvc_bench_%d" (Unix.getpid ()))
+      (Printf.sprintf "dsvc_bench_%s_%d" name (Unix.getpid ()))
   in
   rm_rf dir;
-  let repo = ok (Repo.init ~path:dir) in
-  let rng = Prng.create ~seed:(seed + 29) in
+  (dir, ok (Repo.init ~path:dir))
+
+(* [temp_repo] holding [nv] generated versions on one commit-order
+   delta chain. *)
+let chained_repo name ~nv rng =
+  let dir, repo = temp_repo name in
   let history =
     History_gen.generate (History_gen.linear_params ~n_commits:nv) rng
   in
   let data =
-    Dataset_gen.generate ~name:"perf" history
+    Dataset_gen.generate ~name history
       { Dataset_gen.default_params with initial_rows = 80; max_hops = 1 }
       rng
   in
@@ -1218,46 +1140,73 @@ let perf ~quick ~jobs seed =
           (if v = 1 then [] else [ v - 1 ]),
           data.Dataset_gen.contents.(v) ))
   in
-  let _ids = ok (Repo.import_versions repo entries) in
+  ignore (ok (Repo.import_versions repo entries));
+  (dir, repo)
+
+let perf ~quick ~jobs seed =
+  header "Perf: parallel graph construction and checkout chain cache";
+  (* Graph construction (the ⟨Δ,Φ⟩ reveal — the pipeline's dominant
+     cost) at jobs ∈ {1, --jobs}. Each run regenerates the same history
+     from the same seed, so the work is identical and only the domain
+     count varies. *)
+  let job_list = List.sort_uniq compare [ 1; jobs ] in
+  let n = if quick then 300 else 1200 in
+  let params = { Cost_gen.default_params with max_hops = 5; reveal_cap = 12 } in
+  subheader
+    (Printf.sprintf "aux-graph construction, %d versions (ncores=%d)" n
+       (Pool.recommended_jobs ()));
+  Printf.printf "%-8s %10s %12s %14s\n" "jobs" "edges" "wall (s)" "edges/s";
+  List.iter
+    (fun j ->
+      let rng = Prng.create ~seed:(seed + 23) in
+      let history =
+        History_gen.generate (History_gen.flat_params ~n_commits:n) rng
+      in
+      let (g, t) = time (fun () -> Cost_gen.generate ~jobs:j history params rng) in
+      let edges = Versioning_graph.Digraph.n_edges (Aux_graph.graph g) in
+      add_row "graph_construction"
+        [
+          ("jobs", Int j); ("versions", Int n); ("edges", Int edges);
+          ("wall_s", Float t); ("edges_per_s", Float (per_s edges t));
+        ];
+      Printf.printf "%-8d %10d %12.3f %14.0f\n" j edges t (per_s edges t))
+    job_list;
+  (* The checkout chain cache on a real on-disk repository whose
+     versions sit on commit-order delta chains: one Zipf stream
+     replayed with the materialization cache off and then on (cold in
+     both modes: re-enabling starts from an empty table). Checkout
+     time is perfbench's checkout_cold; this replay counts the work. *)
+  let nv = if quick then 60 else 150 in
+  let len = if quick then 400 else 2000 in
+  subheader
+    (Printf.sprintf "checkout chain cache, %d chained versions, %d accesses" nv
+       len);
+  let rng = Prng.create ~seed:(seed + 29) in
+  let dir, repo = chained_repo "perf" ~nv rng in
   let stream =
-    Array.of_list
-      (Retrieval_sim.zipf_stream ~n_versions:nv ~length:len ~exponent:2.0 rng)
+    Retrieval_sim.zipf_stream ~n_versions:nv ~length:len ~exponent:2.0 rng
   in
-  Printf.printf "%-10s %12s %12s %8s %10s %8s\n" "cache" "wall (s)" "mean (us)"
-    "hits" "partial" "misses";
-  let measure cmode slots =
+  Printf.printf "%-10s %8s %10s %8s\n" "cache" "hits" "partial" "misses";
+  let replay slots =
     Repo.set_cache_slots repo slots;
     let s0 = Repo.cache_stats repo in
-    let ((), t) =
-      time (fun () -> Array.iter (fun v -> ignore (ok (Repo.checkout repo v))) stream)
-    in
+    List.iter (fun v -> ignore (ok (Repo.checkout repo v))) stream;
     let s1 = Repo.cache_stats repo in
-    let run =
-      {
-        cmode;
-        caccesses = Array.length stream;
-        cwall = t;
-        chits = s1.Repo.hits - s0.Repo.hits;
-        cpartial = s1.Repo.partial_hits - s0.Repo.partial_hits;
-        cmisses = s1.Repo.misses - s0.Repo.misses;
-      }
-    in
-    checkout_runs := run :: !checkout_runs;
-    Printf.printf "%-10s %12.3f %12.1f %8d %10d %8d\n"
+    Printf.printf "%-10s %8d %10d %8d\n"
       (if slots = 0 then "off" else Printf.sprintf "on (%d)" slots)
-      t
-      (t /. float_of_int (Array.length stream) *. 1e6)
-      run.chits run.cpartial run.cmisses
+      (s1.Repo.hits - s0.Repo.hits)
+      (s1.Repo.partial_hits - s0.Repo.partial_hits)
+      (s1.Repo.misses - s0.Repo.misses)
   in
-  measure "cache_off" 0;
-  measure "cache_on" Repo.default_cache_slots;
+  replay 0;
+  replay Repo.default_cache_slots;
   Repo.close repo;
   rm_rf dir;
   print_endline
     "\nshape check: construction wall-clock falls as jobs grow (on a\n\
-     multi-core runner) with identical edge counts; cached checkout is\n\
-     far below uncached on a skewed stream (hot chains are replayed\n\
-     once, then served or extended from the cache)."
+     multi-core runner) with identical edge counts; with the cache on,\n\
+     most checkouts of the skewed stream are hits or partial hits (hot\n\
+     chains are replayed once, then served or extended from the cache)."
 
 (* ------------------------------------------------------------------ *)
 (* cluster: price of replication in the sharded store (DESIGN.md §12). *)
@@ -1332,20 +1281,16 @@ let cluster ~quick seed =
                   failwith (Printf.sprintf "cluster bench: blob %d corrupt" i))
               stream)
       in
-      cluster_runs :=
-        {
-          kmembers = m;
-          kdown = down;
-          kreplicas = Replicated.replicas t;
-          kblobs = blobs;
-          kreads = reads;
-          kput_wall = put_wall;
-          kget_wall = get_wall;
-        }
-        :: !cluster_runs;
+      add_row "cluster"
+        [
+          ("members", Int m); ("down", Int down);
+          ("replicas", Int (Replicated.replicas t)); ("blobs", Int blobs);
+          ("reads", Int reads); ("put_wall_s", Float put_wall);
+          ("get_wall_s", Float get_wall);
+          ("reads_per_s", Float (per_s reads get_wall));
+        ];
       Printf.printf "%-10d %6d %10d %12.3f %12.3f %12.0f\n" m down
-        (Replicated.replicas t) put_wall get_wall
-        (if get_wall > 0.0 then float_of_int reads /. get_wall else 0.0))
+        (Replicated.replicas t) put_wall get_wall (per_s reads get_wall))
     rows;
   print_endline
     "\nshape check: puts slow with member count (quorum fan-out) while\n\
@@ -1364,15 +1309,9 @@ let cluster ~quick seed =
    connection reuse for cluster replication traffic: the same blob
    put/get work over one-connection-per-request ("cold") versus a
    kept-alive client ("reused"). *)
-let concurrency ~quick seed =
-  ignore seed;
+let concurrency ~quick =
   header "concurrency: event-loop server under keep-alive load";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dsvc_bench_conc_%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let repo = ok (Repo.init ~path:dir) in
+  let dir, repo = temp_repo "conc" in
   let _ = ok (Repo.commit repo ~message:"seed" "alpha\nbeta\ngamma") in
   let port_box = ref None in
   let pm = Mutex.create () and pc = Condition.create () in
@@ -1399,12 +1338,10 @@ let concurrency ~quick seed =
   let port = Option.get !port_box in
   Mutex.unlock pm;
   let reuse_counter () =
-    let prefix = "dsvc_server_keepalive_reuse_total" in
-    let plen = String.length prefix in
     List.fold_left
       (fun acc (k, v) ->
-        if String.length k >= plen && String.sub k 0 plen = prefix then
-          acc +. v
+        if String.starts_with ~prefix:"dsvc_server_keepalive_reuse_total" k
+        then acc +. v
         else acc)
       0.0 (Metrics.snapshot_values ())
   in
@@ -1488,18 +1425,13 @@ let concurrency ~quick seed =
     let pct q =
       lats.(min (total - 1) (int_of_float (float_of_int total *. q))) *. 1000.0
     in
-    let rps = if wall > 0.0 then float_of_int total /. wall else 0.0 in
-    concurrency_runs :=
-      {
-        qclients = clients;
-        qrequests = total;
-        qwall = wall;
-        qp50_ms = pct 0.50;
-        qp99_ms = pct 0.99;
-        qrps = rps;
-        qreused = reused;
-      }
-      :: !concurrency_runs;
+    let rps = per_s total wall in
+    add_row "concurrency"
+      [
+        ("clients", Int clients); ("requests", Int total); ("wall_s", Float wall);
+        ("p50_ms", Float (pct 0.50)); ("p99_ms", Float (pct 0.99));
+        ("requests_per_s", Float rps); ("keepalive_reuse", Float reused);
+      ];
     Printf.printf "%-10d %10d %12.3f %10.3f %10.3f %12.0f %10.0f\n" clients
       total wall (pct 0.50) (pct 0.99) rps reused
   in
@@ -1529,10 +1461,12 @@ let concurrency ~quick seed =
     in
     Client.close client;
     let ops = 2 * nblobs in
-    let rate = if wall > 0.0 then float_of_int ops /. wall else 0.0 in
-    reuse_runs :=
-      { rmode = mode; rops = ops; rwall = wall; rops_per_s = rate }
-      :: !reuse_runs;
+    let rate = per_s ops wall in
+    add_row "connection_reuse"
+      [
+        ("mode", Str mode); ("ops", Int ops); ("wall_s", Float wall);
+        ("ops_per_s", Float rate);
+      ];
     Printf.printf "%-10s %8d %12.3f %12.0f\n" mode ops wall rate
   in
   run_mode "cold" false;
@@ -1571,29 +1505,8 @@ let telemetry ~quick seed =
   header "telemetry: cost-model drift under a skewed checkout workload";
   let nv = if quick then 20 else 40 in
   let len = if quick then 200 else 800 in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dsvc_bench_obs_%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let repo = ok (Repo.init ~path:dir) in
   let rng = Prng.create ~seed:(seed + 37) in
-  let history =
-    History_gen.generate (History_gen.linear_params ~n_commits:nv) rng
-  in
-  let data =
-    Dataset_gen.generate ~name:"telemetry" history
-      { Dataset_gen.default_params with initial_rows = 80; max_hops = 1 }
-      rng
-  in
-  let entries =
-    List.init nv (fun i ->
-        let v = i + 1 in
-        ( Printf.sprintf "v%d" v,
-          (if v = 1 then [] else [ v - 1 ]),
-          data.Dataset_gen.contents.(v) ))
-  in
-  ignore (ok (Repo.import_versions repo entries));
+  let dir, repo = chained_repo "telemetry" ~nv rng in
   (* balanced=1.5 leaves LMG slack to re-allocate toward hot versions;
      at the MCA minimum there is nothing an observed re-plan could
      move, so the comparison would be vacuous *)
@@ -1637,16 +1550,12 @@ let telemetry ~quick seed =
   Printf.printf "%-24s %12.0f\n" "weighted Phi (uniform)" uniform_weighted;
   Printf.printf "%-24s %12.0f\n" "weighted Phi (observed)" observed_weighted;
   Printf.printf "%-24s %11.1f%%\n" "saving" (100.0 *. saving);
-  telemetry_runs :=
-    {
-      tversions = nv;
-      taccesses = len;
-      tdrift = drift;
-      tuniform_weighted = uniform_weighted;
-      tobserved_weighted = observed_weighted;
-      tsaving = saving;
-    }
-    :: !telemetry_runs;
+  add_row "telemetry"
+    [
+      ("versions", Int nv); ("accesses", Int len); ("drift", Float drift);
+      ("uniform_weighted", Float uniform_weighted);
+      ("observed_weighted", Float observed_weighted); ("saving", Float saving);
+    ];
   csv_write "telemetry"
     [ "versions"; "accesses"; "drift"; "uniform_weighted"; "observed_weighted" ]
     [
@@ -1695,9 +1604,7 @@ let timeseries_bench ~quick () =
         done)
   in
   let records = nseries * ticks in
-  let records_per_s =
-    if record_wall > 0.0 then float_of_int records /. record_wall else 0.0
-  in
+  let records_per_s = per_s records record_wall in
   (* Three spans per series, one per downsampling tier: 60 s hits the
      fine tier, 1 h the x10 tier, 10 h the x100 tier. *)
   let now = float_of_int ticks in
@@ -1741,22 +1648,16 @@ let timeseries_bench ~quick () =
   Printf.printf "%-28s %12d\n" "render bytes" (String.length rendered);
   Printf.printf "%-28s %12s\n" "roundtrip"
     (if roundtrip_ok then "ok" else "FAILED");
-  Printf.printf "%-28s %12.1f\n" "alert evals/ms"
-    (if alert_wall > 0.0 then float_of_int evals /. alert_wall /. 1000.0
-     else 0.0);
-  timeseries_runs :=
-    {
-      zseries = nseries;
-      zticks = ticks;
-      zrecord_wall = record_wall;
-      zrecords_per_s = records_per_s;
-      zquery_wall = query_wall;
-      zrender_bytes = String.length rendered;
-      zroundtrip_ok = roundtrip_ok;
-      zalert_evals = evals;
-      zalert_wall = alert_wall;
-    }
-    :: !timeseries_runs;
+  Printf.printf "%-28s %12.1f\n" "alert evals/ms" (per_s evals alert_wall /. 1000.0);
+  add_row "timeseries"
+    [
+      ("series", Int nseries); ("ticks", Int ticks);
+      ("record_wall_s", Float record_wall); ("records_per_s", Float records_per_s);
+      ("query_wall_s", Float query_wall);
+      ("render_bytes", Int (String.length rendered));
+      ("roundtrip_ok", Bool roundtrip_ok); ("alert_evals", Int evals);
+      ("alert_wall_s", Float alert_wall);
+    ];
   csv_write "timeseries"
     [ "series"; "ticks"; "record_wall_s"; "records_per_s"; "query_wall_s" ]
     [
@@ -1802,29 +1703,20 @@ let () =
   let bench_out =
     Option.value (find_opt_arg "--bench-out" args) ~default:"BENCH_2.json"
   in
-  (* --check: compare this run's per-experiment wall-clocks against a
-     checked-in baseline; exit 3 (after writing bench_out) when any
-     experiment exceeds baseline * (1 + tolerance). The baseline is
-     read up front because bench_out may be the same file. *)
+  (* --check (see the header): observability on whatever the
+     environment says, as in [Server.serve]; the baseline is read up
+     front because bench_out may be the same file. *)
   let check = List.mem "--check" args in
+  if check then Obs.enable ();
   let baseline_path =
-    Option.value (find_opt_arg "--baseline" args) ~default:"BENCH_2.json"
-  in
-  let tolerance =
-    match find_opt_arg "--tolerance" args with
-    | None -> 0.5
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some f when f >= 0.0 -> f
-        | _ ->
-            prerr_endline "--tolerance needs a non-negative float";
-            exit 2)
+    Option.value (find_opt_arg "--baseline" args)
+      ~default:"bench/work_counters.json"
   in
   let baseline =
     if not check then []
     else
       match Fsutil.read_file baseline_path with
-      | Ok content -> parse_baseline_experiments content
+      | Ok content -> baseline_counters content
       | Error e ->
           Printf.eprintf "bench --check: cannot read baseline %s: %s\n%!"
             baseline_path e;
@@ -1832,8 +1724,7 @@ let () =
   in
   let selected =
     let rec drop_opts = function
-      | ("--out" | "--jobs" | "--bench-out" | "--baseline" | "--tolerance")
-        :: _ :: tl ->
+      | ("--out" | "--jobs" | "--bench-out" | "--baseline") :: _ :: tl ->
           drop_opts tl
       | x :: tl -> x :: drop_opts tl
       | [] -> []
@@ -1845,7 +1736,7 @@ let () =
   let run_exp name f =
     if want name then begin
       let ((), t) = time f in
-      exp_timings := (name, t) :: !exp_timings
+      add_row "experiments" [ ("name", Str name); ("wall_s", Float t) ]
     end
   in
   let scale = if quick then Recipes.Quick else Recipes.Full in
@@ -1877,40 +1768,19 @@ let () =
   run_exp "micro" (fun () -> micro ());
   run_exp "perf" (fun () -> perf ~quick ~jobs seed);
   run_exp "cluster" (fun () -> cluster ~quick seed);
-  run_exp "concurrency" (fun () -> concurrency ~quick seed);
+  run_exp "concurrency" (fun () -> concurrency ~quick);
   run_exp "telemetry" (fun () -> telemetry ~quick seed);
   run_exp "timeseries" (fun () -> timeseries_bench ~quick ());
   emit_bench_json bench_out ~quick ~jobs;
+  let failed_claims = List.rev !violations in
+  List.iter (Printf.printf "claim failed: %s\n") failed_claims;
   if check then begin
-    let timings = List.rev !exp_timings in
-    let compared =
-      List.filter (fun (n, _) -> List.mem_assoc n baseline) timings
-    in
-    let regressions =
-      List.filter_map
-        (fun (name, t) ->
-          match List.assoc_opt name baseline with
-          | Some base when base > 0.0 && t > base *. (1.0 +. tolerance) ->
-              Some (name, base, t)
-          | _ -> None)
-        timings
-    in
-    Printf.printf
-      "\nbench --check: %d experiment(s) compared against %s (tolerance \
-       +%.0f%%)\n"
-      (List.length compared) baseline_path (100.0 *. tolerance);
-    if regressions = [] then print_endline "bench --check: no regressions"
-    else begin
-      List.iter
-        (fun (name, base, t) ->
-          (* GitHub Actions annotation syntax; harmless noise elsewhere *)
-          Printf.printf
-            "::warning title=bench regression::%s took %.3fs vs baseline \
-             %.3fs (+%.0f%%)\n"
-            name t base
-            (100.0 *. ((t /. base) -. 1.0)))
-        regressions;
-      exit 3
-    end
+    let diffs = counter_diffs ~baseline (work_counters ()) in
+    Printf.printf "\nbench --check: %d work counters in %s\n"
+      (List.length baseline) baseline_path;
+    List.iter (Printf.printf "bench --check: counter %s\n") diffs;
+    if diffs <> [] then exit 3;
+    print_endline "bench --check: all equal"
   end;
+  if failed_claims <> [] then exit 4;
   print_endline "\ndone."

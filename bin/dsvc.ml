@@ -508,35 +508,10 @@ let export_graph_cmd =
 
 let optimize_cmd =
   let strategy =
-    let conv_strategy s =
-      match String.split_on_char '=' s with
-      | [ "min-storage" ] -> Ok Repo.Min_storage
-      | [ "min-recreation" ] -> Ok Repo.Min_recreation
-      | [ "balanced"; f ] | [ "budgeted-sum"; f ] -> (
-          match float_of_string_opt f with
-          | Some f when f >= 1.0 -> Ok (Repo.Budgeted_sum f)
-          | _ -> Error (`Msg "balanced=FACTOR needs FACTOR >= 1"))
-      | [ "bounded-max"; f ] -> (
-          match float_of_string_opt f with
-          | Some f when f >= 1.0 -> Ok (Repo.Bounded_max f)
-          | _ -> Error (`Msg "bounded-max=FACTOR needs FACTOR >= 1"))
-      | [ "git" ] -> Ok (Repo.Git_window (10, 50))
-      | [ "svn" ] -> Ok Repo.Svn_skip
-      | _ ->
-          Error
-            (`Msg
-              "expected min-storage | min-recreation | balanced=F | \
-               bounded-max=F | git | svn")
-    in
-    let pp ppf = function
-      | Repo.Min_storage -> Format.fprintf ppf "min-storage"
-      | Repo.Min_recreation -> Format.fprintf ppf "min-recreation"
-      | Repo.Budgeted_sum f -> Format.fprintf ppf "balanced=%g" f
-      | Repo.Bounded_max f -> Format.fprintf ppf "bounded-max=%g" f
-      | Repo.Git_window _ -> Format.fprintf ppf "git"
-      | Repo.Svn_skip -> Format.fprintf ppf "svn"
-    in
-    Arg.conv (conv_strategy, pp)
+    let module Server = Versioning_store.Server in
+    let parse s = Result.map_error (fun e -> `Msg e) (Server.parse_strategy s) in
+    let pp ppf s = Format.pp_print_string ppf (Server.strategy_to_string s) in
+    Arg.conv (parse, pp)
   in
   let strat =
     Arg.(

@@ -32,6 +32,14 @@ let parse_strategy s =
         "expected min-storage | min-recreation | balanced=F | bounded-max=F \
          | git | svn"
 
+let strategy_to_string = function
+  | Repo.Min_storage -> "min-storage"
+  | Repo.Min_recreation -> "min-recreation"
+  | Repo.Budgeted_sum f -> Printf.sprintf "balanced=%g" f
+  | Repo.Bounded_max f -> Printf.sprintf "bounded-max=%g" f
+  | Repo.Git_window _ -> "git"
+  | Repo.Svn_skip -> "svn"
+
 let stats_body (s : Repo.stats) =
   Printf.sprintf
     "versions %d\nstorage_bytes %d\nmaterialized %d\ndelta_stored %d\n\

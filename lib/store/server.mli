@@ -153,6 +153,10 @@ val serve :
 val parse_strategy : string -> (Repo.strategy, string) result
 (** The [strategy] query values, shared with the CLI. *)
 
+val strategy_to_string : Repo.strategy -> string
+(** The inverse of {!parse_strategy} for the strategies it builds
+    (["git"] always means the default window). *)
+
 val metrics_json_with_meta : unit -> string
 (** The {!Versioning_obs.Metrics.to_json} document with a
     [{"meta":{"git_rev":…,"ocaml":…,"uptime_s":…}}] block spliced in

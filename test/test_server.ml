@@ -963,6 +963,26 @@ let test_anti_entropy_requires_cluster () =
   let r = Server.handle repo (mk_request ~meth:"POST" "/anti-entropy") in
   Alcotest.(check int) "409 without --peers" 409 r.Http.status
 
+(* The CLI's --strategy flag and POST /optimize share one parser; its
+   printer must name each strategy the way the parser reads it back. *)
+let test_strategy_roundtrip () =
+  List.iter
+    (fun s ->
+      let printed = Server.strategy_to_string s in
+      match Server.parse_strategy printed with
+      | Ok s' when s' = s -> ()
+      | Ok _ -> Alcotest.failf "%s parses to another strategy" printed
+      | Error e -> Alcotest.failf "%s does not parse: %s" printed e)
+    Repo.
+      [
+        Min_storage;
+        Min_recreation;
+        Budgeted_sum 1.5;
+        Bounded_max 2.0;
+        Git_window (10, 50);
+        Svn_skip;
+      ]
+
 let suite =
   [
     Alcotest.test_case "http parse GET" `Quick test_http_parse_get;
@@ -983,6 +1003,8 @@ let suite =
     Alcotest.test_case "route branches/tags/diff" `Quick
       test_route_branches_tags_diff;
     Alcotest.test_case "route table" `Quick test_route_table;
+    Alcotest.test_case "strategy print/parse roundtrip" `Quick
+      test_strategy_roundtrip;
     Alcotest.test_case "reserved characters in ref names" `Quick
       test_reserved_ref_names;
     Alcotest.test_case "encoded path keeps its route label" `Quick
