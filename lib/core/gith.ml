@@ -44,15 +44,17 @@ let solve ?(depth_bias = true) ?(jobs = Pool.default_jobs ()) g ~window
   Solver_obs.timed ~algo:"gith" @@ fun () ->
   let n = Aux_graph.n_versions g in
   let bound = if window <= 0 then max_int else window in
-  let size v =
-    match Aux_graph.materialization g v with
-    | Some w -> w.Aux_graph.delta
-    | None -> 0.0
+  (* Largest full version first; [size.(v - 1)] is 0 without one. *)
+  let size =
+    Array.init n (fun i ->
+        match Aux_graph.materialization g (i + 1) with
+        | Some w -> w.Aux_graph.delta
+        | None -> 0.0)
   in
   let order = Array.init n (fun i -> i + 1) in
   Array.sort
     (fun a b ->
-      match compare (size b) (size a) with 0 -> compare a b | c -> c)
+      match compare size.(b - 1) size.(a - 1) with 0 -> compare a b | c -> c)
     order;
   let dg = Aux_graph.graph g in
   (* The candidate ⟨Δ,Φ⟩ gather per version is a pure read of the aux

@@ -1,31 +1,24 @@
 module Digraph = Versioning_graph.Digraph
 
-(* Chu–Liu/Edmonds with explicit contraction history.
+(* Chu–Liu/Edmonds with explicit contraction history, on flat arrays.
 
    Levels: level 0 is the input graph. Each round selects the
-   cheapest in-edge of every non-root vertex; if the selection is
-   acyclic it is the arborescence of that level, otherwise every
+   cheapest in-edge of every active non-root vertex; if the selection
+   is acyclic it is the arborescence of that level, otherwise every
    selected cycle is contracted into a fresh supernode and edge
    weights entering a cycle are reduced by the weight of the selected
    in-edge of their target (the classic reduced costs), producing
-   level k+1. Each rebuilt edge keeps a pointer to the level-k edge it
-   came from, so the final selection can be unwound level by level:
-   the edge chosen into a supernode displaces exactly one cycle edge —
-   the one entering the vertex that the underlying edge enters. *)
+   level k+1.
 
-type redge = {
-  src : int;
-  dst : int;
-  w : float;
-  below : redge option;  (* the edge this one was rebuilt from *)
-  level : int;  (* contraction round that rebuilt it; 0 = original *)
-  choice : int * int * Aux_graph.weight;  (* original (parent, child, weight) *)
-}
-
-type cycle_record = {
-  supernode : int;
-  members : (int * redge) list;  (* (vertex, its selected cycle in-edge) *)
-}
+   A level's edges live in the parallel arrays [src]/[dst]/[w]/[orig]
+   ([orig] indexes the level-0 edge an edge stands for), compacted in
+   place when a round contracts; compaction keeps their order, so a
+   tie goes to the same edge at every level. [up.(v)] is the supernode
+   [v] was contracted into ([v] itself while active) and [inc.(v)] the
+   level-0 edge selected into [v]. The unwind walks supernodes newest
+   first: the edge chosen into a supernode displaces exactly one cycle
+   edge — that of the member on the [up] chain of the edge's original
+   target. *)
 
 let weight = Storage_graph.storage_cost
 
@@ -37,213 +30,116 @@ let solve g =
   (* Each contraction round removes at least one vertex net of the
      supernode it adds, so ids stay below 2 * n_orig + 1. *)
   let max_ids = (2 * n_orig) + 1 in
+  (* Level 0 lists the edges in reverse [iter_edges] order. *)
   let edges0 =
-    Digraph.fold_edges dg ~init:[] ~f:(fun acc e ->
-        {
-          src = e.src;
-          dst = e.dst;
-          w = e.label.Aux_graph.delta;
-          below = None;
-          level = 0;
-          choice = (e.src, e.dst, e.label);
-        }
-        :: acc)
+    Array.of_list (Digraph.fold_edges dg ~init:[] ~f:(fun acc e -> e :: acc))
   in
-  let active = Array.make max_ids false in
-  let active_list = ref [] in
-  for v = n_orig - 1 downto 0 do
-    active.(v) <- true;
-    active_list := v :: !active_list
-  done;
+  let m = ref (Array.length edges0) in
+  let src = Array.map (fun (e : _ Digraph.edge) -> e.src) edges0 in
+  let dst = Array.map (fun (e : _ Digraph.edge) -> e.dst) edges0 in
+  let w = Array.map (fun (e : _ Digraph.edge) -> e.label.Aux_graph.delta) edges0 in
+  let orig = Array.init !m Fun.id in
+  let up = Array.init max_ids Fun.id in
+  let inc = Array.make max_ids (-1) in
+  let best_w = Array.make max_ids 0.0 in
+  let best_src = Array.make max_ids (-1) in
+  let color = Array.make max_ids 0 in
+  let active = ref (Array.init n_orig Fun.id) in
   let next_id = ref n_orig in
   let round = ref 0 in
-  let history : cycle_record list list ref = ref [] in
-  let edges = ref edges0 in
-  let final_selection = ref None in
-  let error = ref None in
-  while !final_selection = None && !error = None do
-    (* Cheapest in-edge per active non-root vertex. *)
-    let best : redge option array = Array.make max_ids None in
-    List.iter
-      (fun e ->
-        if e.dst <> root && active.(e.src) && active.(e.dst) && e.src <> e.dst
-        then
-          match best.(e.dst) with
-          | None -> best.(e.dst) <- Some e
-          | Some b ->
-              if e.w < b.w || (e.w = b.w && e.src < b.src) then
-                best.(e.dst) <- Some e)
-      !edges;
-    let missing = ref None in
-    List.iter
-      (fun v ->
-        if v <> root && best.(v) = None && !missing = None then
-          missing := Some v)
-      !active_list;
-    (match !missing with
-    | Some _ ->
-        error :=
-          Some "some version has no revealed in-edge: no valid solution exists"
-    | None -> ());
-    if !error = None then begin
-      (* Find cycles among selected edges by pointer-chasing. *)
-      let color = Array.make max_ids 0 in
-      (* 0 unvisited / 1 on current path / 2 done *)
-      let cycles = ref [] in
-      color.(root) <- 2;
-      List.iter
-        (fun start ->
-        if active.(start) && color.(start) = 0 then begin
-          let path = ref [] in
-          let v = ref start in
-          while active.(!v) && color.(!v) = 0 do
-            color.(!v) <- 1;
-            path := !v :: !path;
-            match best.(!v) with
-            | Some e -> v := e.src
-            | None -> (* root only *) ()
-          done;
-          if color.(!v) = 1 then begin
-            (* Extract the cycle: the suffix of [path] from !v. *)
-            let cycle_start = !v in
-            let members = ref [] in
-            let collecting = ref false in
-            List.iter
-              (fun u ->
-                if u = cycle_start then collecting := true;
-                if !collecting then
-                  match best.(u) with
-                  | Some e -> members := (u, e) :: !members
-                  | None -> assert false)
-              (List.rev !path);
-            cycles := !members :: !cycles
-          end;
-          List.iter (fun u -> color.(u) <- 2) !path
-        end)
-        !active_list;
-      if !cycles = [] then begin
-        let selection = ref [] in
-        List.iter
-          (fun v ->
-            if v <> root then
-              match best.(v) with
-              | Some e -> selection := (v, e) :: !selection
-              | None -> assert false)
-          !active_list;
-        final_selection := Some !selection
+  let n_cycles = ref 0 in
+  let result = ref None in
+  while !result = None do
+    (* Cheapest in-edge per active non-root vertex: the smaller source
+       id, then the earlier edge, wins a weight tie. *)
+    Array.iter (fun v -> best_src.(v) <- -1) !active;
+    for i = 0 to !m - 1 do
+      let d = dst.(i) in
+      if d <> root then begin
+        let s = src.(i) and wi = w.(i) and bs = best_src.(d) in
+        if bs < 0 || wi < best_w.(d) || (wi = best_w.(d) && s < bs) then begin
+          best_w.(d) <- wi;
+          best_src.(d) <- s;
+          inc.(d) <- orig.(i)
+        end
       end
+    done;
+    if Array.exists (fun v -> v <> root && best_src.(v) < 0) !active then
+      result :=
+        Some (Error "some version has no revealed in-edge: no valid solution exists")
+    else begin
+      (* Find cycles among selected edges by pointer-chasing:
+         0 unvisited / 1 on current path / 2 done. *)
+      Array.iter (fun v -> color.(v) <- 0) !active;
+      color.(root) <- 2;
+      let cycles = ref [] in
+      Array.iter
+        (fun start ->
+          let v = ref start in
+          while color.(!v) = 0 do
+            color.(!v) <- 1;
+            v := best_src.(!v)
+          done;
+          if color.(!v) = 1 then cycles := !v :: !cycles;
+          let u = ref start in
+          while color.(!u) = 1 do
+            color.(!u) <- 2;
+            u := best_src.(!u)
+          done)
+        !active;
+      if !cycles = [] then result := Some (Ok ())
       else begin
-        (* Contract every cycle. *)
-        let comp = Array.make max_ids (-1) in
-        List.iter (fun v -> comp.(v) <- v) !active_list;
-        let records =
-          List.map
-            (fun members ->
-              let s = !next_id in
-              incr next_id;
-              assert (s < max_ids);
-              List.iter (fun (v, _) -> comp.(v) <- s) members;
-              { supernode = s; members })
-            !cycles
-        in
-        (* Reduced cost for edges entering a contracted vertex. *)
-        let reduced e =
-          match best.(e.dst) with
-          | Some b when comp.(e.dst) <> e.dst -> e.w -. b.w
-          | _ -> e.w
-        in
-        incr round;
-        (* Only edges touching a contracted vertex are rebuilt; the
-           rest survive untouched (their [level] stays older, so the
-           unwind skips them until their own round). *)
-        let new_edges =
-          List.filter_map
-            (fun e ->
-              let s = comp.(e.src) and d = comp.(e.dst) in
-              if s = d then None
-              else if s = e.src && d = e.dst then Some e
-              else
-                Some
-                  { src = s; dst = d; w = reduced e; below = Some e;
-                    level = !round; choice = e.choice })
-            !edges
-        in
+        (* Contract every cycle; the last one found gets the smallest
+           id. A member keeps its cycle in-edge in [inc]. *)
+        let fresh = List.length !cycles in
         List.iter
-          (fun r ->
-            List.iter (fun (v, _) -> active.(v) <- false) r.members;
-            active.(r.supernode) <- true)
-          records;
-        active_list :=
-          List.map (fun r -> r.supernode) records
-          @ List.filter (fun v -> active.(v)) !active_list;
-        history := records :: !history;
-        edges := new_edges
+          (fun start ->
+            let s = !next_id in
+            incr next_id;
+            assert (s < max_ids);
+            let u = ref start in
+            while up.(!u) <> s do
+              up.(!u) <- s;
+              u := best_src.(!u)
+            done)
+          !cycles;
+        n_cycles := !n_cycles + fresh;
+        incr round;
+        (* Reduced cost for edges entering a contracted vertex. *)
+        let kept = ref 0 in
+        for i = 0 to !m - 1 do
+          let s = up.(src.(i)) and d0 = dst.(i) in
+          let d = up.(d0) in
+          if s <> d then begin
+            src.(!kept) <- s;
+            dst.(!kept) <- d;
+            w.(!kept) <- (if d <> d0 then w.(i) -. best_w.(d0) else w.(i));
+            orig.(!kept) <- orig.(i);
+            incr kept
+          end
+        done;
+        m := !kept;
+        let survivors = List.filter (fun v -> up.(v) = v) (Array.to_list !active) in
+        active :=
+          Array.of_list (List.init fresh (fun i -> !next_id - fresh + i) @ survivors)
       end
     end
   done;
   Solver_obs.count ~algo:"mca" "dsvc_solver_iterations_total" (!round + 1)
     ~help:"Main-loop iterations (heap pops, rounds), by algorithm";
-  Solver_obs.count ~algo:"mca" "dsvc_solver_cycles_contracted_total"
-    (List.fold_left (fun acc r -> acc + List.length r) 0 !history)
+  Solver_obs.count ~algo:"mca" "dsvc_solver_cycles_contracted_total" !n_cycles
     ~help:"Cycles contracted by Chu-Liu/Edmonds rounds";
-  match !error with
-  | Some e -> Error e
-  | None -> (
-      let selection = Option.get !final_selection in
-      (* Unwind the contraction history. [m] maps each vertex at the
-         current level to its selected in-edge (an edge of that same
-         level). Each transition unwraps every surviving edge exactly
-         one level and replaces each supernode by its members. *)
-      let m = Hashtbl.create (2 * n_orig) in
-      List.iter (fun (v, e) -> Hashtbl.replace m v e) selection;
-      (* [history] lists transitions newest first; unwrap an edge only
-         when processing the round that rebuilt it. *)
-      let level = ref !round in
-      let unwrap e =
-        if e.level = !level then
-          match e.below with Some u -> u | None -> assert false
-        else e
-      in
-      List.iter
-        (fun records ->
-          (* pull out this transition's supernode entries first *)
-          let super_edges =
-            List.map
-              (fun r ->
-                let e =
-                  match Hashtbl.find_opt m r.supernode with
-                  | Some e -> e
-                  | None -> assert false
-                in
-                Hashtbl.remove m r.supernode;
-                (r, e))
-              records
-          in
-          (* every surviving entry rebuilt at this round moves down *)
-          let snapshot = Hashtbl.fold (fun v e acc -> (v, e) :: acc) m [] in
-          List.iter
-            (fun (v, e) ->
-              if e.level = !level then Hashtbl.replace m v (unwrap e))
-            snapshot;
-          (* expand each cycle: the member the incoming edge really
-             enters keeps it, all other members keep their cycle
-             edges *)
-          List.iter
-            (fun (r, e) ->
-              let under = unwrap e in
-              List.iter
-                (fun (v, cyc_edge) ->
-                  if v = under.dst then Hashtbl.replace m v under
-                  else Hashtbl.replace m v cyc_edge)
-                r.members)
-            super_edges;
-          decr level)
-        !history;
-      let choices =
-        List.init (n_orig - 1) (fun i ->
-            let v = i + 1 in
-            match Hashtbl.find_opt m v with
-            | Some e -> e.choice
-            | None -> assert false)
-      in
-      Storage_graph.of_parent_edges ~n:(n_orig - 1) choices)
+  match !result with
+  | Some (Error e) -> Error e
+  | _ ->
+      for s = !next_id - 1 downto n_orig do
+        let c = ref edges0.(inc.(s)).dst in
+        while up.(!c) <> s do
+          c := up.(!c)
+        done;
+        inc.(!c) <- inc.(s)
+      done;
+      Storage_graph.of_parent_edges ~n:(n_orig - 1)
+        (List.init (n_orig - 1) (fun i ->
+             let e = edges0.(inc.(i + 1)) in
+             (e.src, e.dst, e.label)))

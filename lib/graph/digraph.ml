@@ -104,13 +104,19 @@ let reverse g =
   iter_edges g (fun e -> add_edge g' ~src:e.dst ~dst:e.src e.label);
   g'
 
+(* Both buckets hold the edges in insertion order, so scanning the
+   shorter one still finds the first inserted [src -> dst] edge. *)
 let find_edge g ~src ~dst =
   check_vertex g src "find_edge";
-  let b = g.out.(src) in
+  let b =
+    if dst >= 0 && dst < g.n && g.inc.(dst).len < g.out.(src).len then g.inc.(dst)
+    else g.out.(src)
+  in
   let rec go i =
     if i >= b.len then None
-    else if b.data.(i).dst = dst then Some b.data.(i)
-    else go (i + 1)
+    else
+      let e = b.data.(i) in
+      if e.src = src && e.dst = dst then Some e else go (i + 1)
   in
   go 0
 

@@ -50,7 +50,10 @@ val reverse : 'a t -> 'a t
 (** Graph with every edge flipped. *)
 
 val find_edge : 'a t -> src:int -> dst:int -> 'a edge option
-(** First inserted edge [src -> dst], if any. O(out-degree). *)
+(** First inserted edge [src -> dst], if any; [None] for an
+    out-of-range [dst]. Scans the shorter of [src]'s out-edges and
+    [dst]'s in-edges: O(min(out-degree, in-degree)).
+    @raise Invalid_argument on an out-of-range [src]. *)
 
 val is_dag : 'a t -> bool
 (** True iff the graph has no directed cycle (Kahn's algorithm). *)

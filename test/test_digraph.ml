@@ -104,6 +104,29 @@ let test_empty_graph () =
   Alcotest.(check int) "no vertices" 0 (Digraph.n_vertices g);
   Alcotest.(check bool) "vacuous DAG" true (Digraph.is_dag g)
 
+(* find_edge against its definition, on multigraphs with parallel
+   edges (labels number the insertions) and out-of-range targets. *)
+let qcheck_find_edge_model =
+  QCheck.Test.make ~name:"find_edge = first matching out-edge" ~count:300
+    QCheck.(pair (int_range 1 8) (small_list (pair small_nat small_nat)))
+    (fun (n, pairs) ->
+      let g = Digraph.create ~n in
+      List.iteri
+        (fun i (s, d) ->
+          let s = s mod n and d = d mod n in
+          if s <> d then Digraph.add_edge g ~src:s ~dst:d i)
+        pairs;
+      List.for_all
+        (fun src ->
+          List.for_all
+            (fun dst ->
+              Digraph.find_edge g ~src ~dst
+              = List.find_opt
+                  (fun (e : _ Digraph.edge) -> e.dst = dst)
+                  (Digraph.out_edges g src))
+            (List.init (n + 2) (fun d -> d - 1)))
+        (List.init n Fun.id))
+
 let suite =
   [
     Alcotest.test_case "basics" `Quick test_basic;
@@ -114,4 +137,5 @@ let suite =
     Alcotest.test_case "topological order" `Quick test_topological;
     Alcotest.test_case "reachability" `Quick test_reachability;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
+    QCheck_alcotest.to_alcotest qcheck_find_edge_model;
   ]
