@@ -373,6 +373,13 @@ let chain t stored ~cached version =
   in
   walk version [] 0
 
+(* One stored delta applied to its base's content; a script that does
+   not fit the base is an [Error], not an exception. *)
+let apply_delta base encoded =
+  match Line_diff.apply base (Line_diff.decode encoded) with
+  | c -> Ok c
+  | exception Invalid_argument e -> Error e
+
 (* Rebuild a walk's content: read the base unless it was cached, then
    replay the deltas forward. [bytes], when given, accumulates the
    logical size of every object read — the observed recreation cost
@@ -391,15 +398,13 @@ let replay ?bytes t (base, deltas) =
     (fun acc digest ->
       let* content = acc in
       let* encoded = get digest in
-      match Line_diff.apply content (Line_diff.decode encoded) with
-      | c -> Ok c
-      | exception Invalid_argument e -> Error e)
+      apply_delta content encoded)
     (Ok base) deltas
 
-(* The cache-free path under a given plan: reads every object along
-   the chain. Integrity checks ([verify], [check_all_versions],
-   [repair]) must use this one — a cached string would mask on-disk
-   corruption they exist to find. *)
+(* One version under a given plan, cache-free: reads every object
+   along its chain. [checkout_uncached], [repair] and an import parent
+   from before the batch use it. A pass over every version uses
+   [materialize_all] instead, which reads each object once. *)
 let rebuild t stored version =
   let* walk = chain t stored ~cached:false version in
   replay t walk
@@ -446,16 +451,75 @@ let checkout t version =
       | _ -> ());
       Ok content
 
+(* ---- the storage-tree walk ---- *)
+
+(* A reader that fetches each digest from the store once per call, so
+   an object several versions share, or one [verify] checks twice, is
+   read and digest-verified once. *)
+let read_once t =
+  let seen = Hashtbl.create 64 in
+  fun digest ->
+    match Hashtbl.find_opt seen digest with
+    | Some r -> r
+    | None ->
+        let r = Object_store.get t.store digest in
+        Hashtbl.replace seen digest r;
+        r
+
+(* By Lemma 1 a plan is a spanning forest, so depth-first from each
+   [Full] root (ascending id) down its [Delta_from] children applies
+   each stored object once: the plan's storage cost C, not the
+   recreation sum Σ Rᵢ. [f v r] gets exactly what [rebuild t stored v]
+   returns. A failure is its whole subtree's, as a replay from the
+   root fails at the same object; a version no root reaches (missing
+   parent, cycle) gets [chain]'s structural error without a read.
+   Only the current path's contents are held, and the checkout LRU is
+   never consulted. *)
+let materialize_all t stored ~get f =
+  let children = Hashtbl.create 64 in
+  IM.iter
+    (fun v s ->
+      match s with
+      | Delta_from (p, d) -> Hashtbl.add children p (v, d)
+      | Full _ -> ())
+    stored;
+  let reached = Hashtbl.create 64 in
+  let rec visit v result =
+    Hashtbl.replace reached v ();
+    f v result;
+    List.iter
+      (fun (c, d) ->
+        visit c
+          (let* base = result in
+           let* encoded = get d in
+           apply_delta base encoded))
+      (List.rev (Hashtbl.find_all children v))
+  in
+  IM.iter
+    (fun v s -> match s with Full d -> visit v (get d) | Delta_from _ -> ())
+    stored;
+  IM.iter
+    (fun v _ -> if not (Hashtbl.mem reached v) then f v (rebuild t stored v))
+    stored
+
+(* The failing versions of [stored] and their errors, from one walk;
+   [ok v content] sees every version that materializes. *)
+let failures t stored ~get ok =
+  let failed = ref IM.empty in
+  materialize_all t stored ~get (fun v -> function
+    | Ok content -> ok v content
+    | Error e -> failed := IM.add v e !failed);
+  !failed
+
 (* every version must reconstruct under [stored] — the invariant
    [optimize] and journal recovery check before destroying anything *)
 let check_all_versions t stored =
-  IM.fold
-    (fun v _ acc ->
-      let* () = acc in
-      match rebuild t stored v with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Printf.sprintf "version %d: %s" v e))
-    stored (Ok ())
+  match
+    IM.min_binding_opt
+      (failures t stored ~get:(read_once t) (fun _ _ -> ()))
+  with
+  | None -> Ok ()
+  | Some (v, e) -> Error (Printf.sprintf "version %d: %s" v e)
 
 (* ---- journal (two-phase optimize) ---- *)
 
@@ -643,10 +707,13 @@ let store_full t content =
 
 (* Each entry's objects are written first and its version added to a
    metadata value built on the side — later entries chain onto earlier
-   ones through it. The batch is installed by the one [save] at the
-   end, so a failure anywhere leaves the handle as it was. *)
+   ones through it. A parent from earlier in the batch is diffed
+   against its entry's content, already in memory; only a parent from
+   before the batch is rebuilt from the store. The batch is installed
+   by the one [save] at the end, so a failure anywhere leaves the
+   handle as it was. *)
 let import_versions t entries =
-  let add (m : Meta.t) (message, parents, content) =
+  let add (m : Meta.t) batch (message, parents, content) =
     let* () =
       match List.find_opt (fun p -> not (IM.mem p m.stored)) parents with
       | Some p -> Error (Printf.sprintf "unknown parent version %d" p)
@@ -656,7 +723,11 @@ let import_versions t entries =
       match parents with
       | [] -> store_full t content
       | p :: _ ->
-          let* parent_content = rebuild t m.stored p in
+          let* parent_content =
+            match IM.find_opt p batch with
+            | Some c -> Ok c
+            | None -> rebuild t m.stored p
+          in
           let encoded =
             Line_diff.encode (Line_diff.diff parent_content content)
           in
@@ -677,15 +748,16 @@ let import_versions t entries =
         branches = (m.head, id) :: List.remove_assoc m.head m.branches;
       }
   in
-  let rec go m ids = function
+  let rec go m batch ids = function
     | [] ->
         let* () = save t m in
         Ok (List.rev ids)
-    | entry :: rest ->
-        let* m = add m entry in
-        go m ((m.next_id - 1) :: ids) rest
+    | ((_, _, content) as entry) :: rest ->
+        let* m = add m batch entry in
+        let id = m.next_id - 1 in
+        go m (IM.add id content batch) (id :: ids) rest
   in
-  go t.meta [] entries
+  go t.meta IM.empty [] entries
 
 let commit t ?(message = "") ?parents content =
   let parents =
@@ -747,21 +819,19 @@ let verify t =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   (* every referenced object exists and matches its digest ([get]
-     verifies content hashes on every read) *)
+     verifies content hashes on every read), then every version
+     reconstructs — one read per digest for both checks *)
+  let get = read_once t in
   IM.iter
     (fun v s ->
       let digest = match s with Full d | Delta_from (_, d) -> d in
-      match Object_store.get t.store digest with
+      match get digest with
       | Error e -> note "version %d: object unreadable (%s)" v e
       | Ok _ -> ())
     stored;
-  (* every version reconstructs *)
   IM.iter
-    (fun v _ ->
-      match rebuild t stored v with
-      | Ok _ -> ()
-      | Error e -> note "version %d: checkout failed (%s)" v e)
-    stored;
+    (fun v e -> note "version %d: checkout failed (%s)" v e)
+    (failures t stored ~get (fun _ _ -> ()));
   (* commit parents all exist *)
   List.iter
     (fun c ->
@@ -944,16 +1014,22 @@ let hop_pairs t ~max_hops =
     ids;
   !pairs
 
-(* All version contents, index 1..n. *)
+(* All version contents, index 1..n, from one walk; the first failure
+   in ascending id is the error. *)
 let all_contents t =
   let n = t.meta.next_id - 1 in
+  let stored = t.meta.stored in
   let arr = Array.make (n + 1) "" in
+  let failed =
+    failures t stored ~get:(read_once t) (fun v c ->
+        if v >= 1 && v <= n then arr.(v) <- c)
+  in
   let rec go v =
     if v > n then Ok arr
+    else if not (IM.mem v stored) then
+      Error (Printf.sprintf "version %d is not stored" v)
     else
-      let* c = checkout_uncached t v in
-      arr.(v) <- c;
-      go (v + 1)
+      match IM.find_opt v failed with Some e -> Error e | None -> go (v + 1)
   in
   go 1
 

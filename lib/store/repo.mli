@@ -179,13 +179,42 @@ val verify : t -> (unit, string list) result
     object exists and matches its digest, chains are acyclic. [Error]
     lists every problem found. *)
 
+val materialize_all :
+  t ->
+  Meta.stored Meta.Int_map.t ->
+  get:(string -> (string, string) result) ->
+  (int -> (string, string) result -> unit) ->
+  unit
+(** [materialize_all repo plan ~get f] calls [f v r] for every version
+    of [plan], [r] being exactly what {!checkout_uncached} returns for
+    [v] under that plan, error text included. One cache-free walk,
+    depth-first from each full object (ascending id) down its delta
+    children: each stored object is read through [get] and applied
+    once, so the pass costs the plan's storage cost rather than its
+    recreation sum, and only the contents on the current root-to-node
+    path are held. A failing version's error is its whole subtree's;
+    a version no full object reaches (missing parent, delta cycle)
+    gets its chain's structural error without any read. [get] must
+    behave as {!Object_store.get} on {!object_store}; the integrity
+    passes ({!verify}, {!check_all_versions}, {!optimize}'s load and
+    verify steps) pass one that reads each digest once per call. *)
+
+val check_all_versions :
+  t -> Meta.stored Meta.Int_map.t -> (unit, string) result
+(** Whether every version of a plan reconstructs — what {!optimize}
+    checks after its swap and journal recovery checks before rolling
+    forward or back. [Error "version V: E"] names the smallest failing
+    version. One {!materialize_all} walk. *)
+
 val import_versions :
   t -> (string * int list * string) list -> (int list, string) result
 (** Bulk commit: a list of [(message, parents, content)] — parent ids
     may refer to earlier entries of the same batch via their eventual
     ids. The current branch advances to the last imported version.
     Saves metadata once at the end, so large imports don't rewrite the
-    meta file per version. *)
+    meta file per version. A parent from the same batch is diffed
+    against its entry's content without reading the store; the objects
+    written are the ones committing the entries one at a time writes. *)
 
 (* -- storage management -- *)
 
