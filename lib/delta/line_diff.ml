@@ -10,18 +10,47 @@ type t = { script : op list }
    and [String.concat "\n"] is an exact inverse. *)
 let split_lines s = Array.of_list (String.split_on_char '\n' s)
 
-let diff a b =
-  let la = split_lines a and lb = split_lines b in
-  let raw = Myers.diff ~equal:String.equal la lb in
+(* The one Myers-op -> [op] mapping; [line i] is the target's line [i]. *)
+let of_myers ~line raw =
   let script =
     List.map
       (function
         | Myers.Keep k -> Keep k
         | Myers.Delete k -> Delete k
-        | Myers.Insert (off, k) -> Insert (Array.sub lb off k))
+        | Myers.Insert (off, k) -> Insert (Array.init k (fun i -> line (off + i))))
       raw
   in
   { script }
+
+let diff a b =
+  let la = split_lines a and lb = split_lines b in
+  of_myers ~line:(Array.get lb) (Myers.diff ~equal:String.equal la lb)
+
+(* [ids.(u)] is document [u]'s lines as ids into [text]. Interning is
+   injective — equal ids iff equal lines — so Myers on the ids sees the
+   same equality relation, and takes the same edit path, as on the
+   strings. Built once; read-only afterwards, so domains can share it. *)
+type lines = { ids : int array array; text : string array }
+
+let intern docs =
+  let index = Hashtbl.create 1024 in
+  let text = ref [] and next = ref 0 in
+  let id l =
+    match Hashtbl.find_opt index l with
+    | Some i -> i
+    | None ->
+        let i = !next in
+        Hashtbl.add index l i;
+        text := l :: !text;
+        incr next;
+        i
+  in
+  let ids = Array.map (fun d -> Array.map id (split_lines d)) docs in
+  { ids; text = Array.of_list (List.rev !text) }
+
+let diff_in { ids; text } u v =
+  let lb = ids.(v) in
+  of_myers ~line:(fun i -> text.(lb.(i))) (Myers.diff ~equal:Int.equal ids.(u) lb)
 
 let apply a { script } =
   let la = split_lines a in
@@ -49,8 +78,8 @@ let apply a { script } =
 
 let ops { script } = script
 
-let invert a { script } =
-  let la = split_lines a in
+(* [line i] is the source document's line [i]. *)
+let invert_with ~line { script } =
   let pos = ref 0 in
   let inv =
     List.map
@@ -60,13 +89,17 @@ let invert a { script } =
             pos := !pos + k;
             Keep k
         | Delete k ->
-            let payload = Array.sub la !pos k in
+            let at = !pos in
             pos := !pos + k;
-            Insert payload
+            Insert (Array.init k (fun i -> line (at + i)))
         | Insert lines -> Delete (Array.length lines))
       script
   in
   { script = inv }
+
+let invert a t =
+  let la = split_lines a in
+  invert_with ~line:(Array.get la) t
 
 let n_changed_lines { script } =
   List.fold_left
@@ -76,6 +109,17 @@ let n_changed_lines { script } =
       | Delete k -> acc + k
       | Insert lines -> acc + Array.length lines)
     0 script
+
+(* Observability only: the store's payload path and the graph
+   construction's size probes both count here, a [size] as one
+   [encode] of the same bytes. *)
+let count_encode bytes =
+  if Versioning_obs.Obs.enabled () then begin
+    Versioning_obs.Metrics.counter "dsvc_delta_line_encode_total"
+      ~help:"Line-diff scripts serialized (includes size probes)";
+    Versioning_obs.Metrics.counter "dsvc_delta_line_encode_bytes_total"
+      ~by:(float_of_int bytes) ~help:"Serialized line-diff bytes produced"
+  end
 
 let encode { script } =
   let buf = Buffer.create 256 in
@@ -93,15 +137,7 @@ let encode { script } =
             lines)
     script;
   let out = Buffer.contents buf in
-  (* Observability only: the store's payload path and the graph
-     construction's size probes both funnel through here. *)
-  if Versioning_obs.Obs.enabled () then begin
-    Versioning_obs.Metrics.counter "dsvc_delta_line_encode_total"
-      ~help:"Line-diff scripts serialized (includes size probes)";
-    Versioning_obs.Metrics.counter "dsvc_delta_line_encode_bytes_total"
-      ~by:(float_of_int (String.length out))
-      ~help:"Serialized line-diff bytes produced"
-  end;
+  count_encode (String.length out);
   out
 
 let decode s =
@@ -138,8 +174,30 @@ let decode s =
   in
   { script = go [] lines }
 
-let size t = String.length (encode t)
-let symmetric_size t a = size t + size (invert a t)
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* [String.length (encode t)] without building it: a header is a tag,
+   a space, the count and a newline; a payload line is its bytes and a
+   newline. *)
+let size { script } =
+  let bytes =
+    List.fold_left
+      (fun acc op ->
+        match op with
+        | Keep k | Delete k -> acc + 3 + digits k
+        | Insert lines ->
+            Array.fold_left
+              (fun acc l -> acc + String.length l + 1)
+              (acc + 3 + digits (Array.length lines))
+              lines)
+      0 script
+  in
+  count_encode bytes;
+  bytes
+
+let symmetric_size { ids; text } u t =
+  let la = ids.(u) in
+  size t + size (invert_with ~line:(fun i -> text.(la.(i))) t)
 
 let equal t1 t2 =
   let op_eq o1 o2 =

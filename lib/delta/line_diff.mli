@@ -23,6 +23,28 @@ val diff : string -> string -> t
     are separated by ['\n']; a trailing newline and its absence are
     distinguished. *)
 
+(** {2 Interned lines}
+
+    For many diffs over one set of documents — a repository's reveal
+    prices every hop pair of its versions. *)
+
+type lines
+(** Immutable once built: each document as an array of line ids, plus
+    one canonical string per distinct line. Safe to share across
+    domains. *)
+
+val intern : string array -> lines
+(** [intern docs] splits each document into lines once, as {!diff}
+    does, and numbers the distinct lines. Costs one hashtable lookup
+    per line; keeps one copy of each distinct line. *)
+
+val diff_in : lines -> int -> int -> t
+(** [diff_in (intern docs) u v] {!equal}s [diff docs.(u) docs.(v)]:
+    Myers runs on the line ids, and interning is injective, so it sees
+    the same equality relation and takes the same edit path. Prefer
+    {!diff} for a single pair: interning two documents costs more than
+    it saves. *)
+
 val apply : string -> t -> string
 (** [apply a d] reconstructs [b]. @raise Invalid_argument when [a] is
     not the document the delta was built against (detected by script
@@ -35,11 +57,16 @@ val invert : string -> t -> t
 (** [invert a d] is the delta from [b = apply a d] back to [a]. *)
 
 val size : t -> int
-(** Storage cost in bytes of the encoded delta ({!encode}). *)
+(** Storage cost in bytes of the encoded delta: [String.length (encode
+    d)], computed from the header counts and payload lengths without
+    serializing. It still counts as one {!encode} of that many bytes
+    in the [dsvc_delta_line_encode_total] and
+    [dsvc_delta_line_encode_bytes_total] counters. *)
 
-val symmetric_size : t -> string -> int
-(** [symmetric_size d a] is [size d + size (invert a d)]: the cost of
-    an undirected (two-way) delta. *)
+val symmetric_size : lines -> int -> t -> int
+(** [symmetric_size (intern docs) u d] is [size d + size (invert
+    docs.(u) d)]: the cost of an undirected (two-way) delta from
+    document [u]. *)
 
 val n_changed_lines : t -> int
 (** Inserted + deleted line count — the "edit distance" in lines. *)

@@ -1036,14 +1036,16 @@ let all_contents t =
 (* The repository's revealed ⟨Δ, Φ⟩ graph: materializations plus
    line-diff deltas between versions within [max_hops] of each other
    in the commit DAG, plus any [extra_pairs]. This is the dominant
-   cost of [optimize] — O(pairs) line diffs — so the diffs fan out
-   over the domain pool: the pair list is deduplicated in reveal
-   order first, the sizes are computed in parallel (each diff reads
-   only the immutable contents array), and the edges are added
-   sequentially in that same order, so the revealed graph is
-   identical for every [jobs]. *)
-let reveal_graph t ?(max_hops = 3) ?(extra_pairs = [])
-    ?(jobs = Pool.default_jobs ()) () =
+   cost of [optimize] — O(pairs) line diffs. Each version's lines are
+   interned once, inside the [optimize.diff_sizes] span, so a diff is
+   Myers over int ids and its size is arithmetic; the interned value
+   is immutable once built (its hashtable is dropped), so the diffs fan
+   out over the domain pool. The pair list is deduplicated in reveal
+   order first and the edges are added sequentially in that same
+   order, so the revealed graph is identical for every [jobs].
+   Returns the interned lines too, for [optimize]'s materialize
+   phase. *)
+let reveal t ~max_hops ~extra_pairs ~jobs =
   let n = t.meta.next_id - 1 in
   if n = 0 then Error "empty repository"
   else
@@ -1067,19 +1069,25 @@ let reveal_graph t ?(max_hops = 3) ?(extra_pairs = [])
     List.iter consider (hop_pairs t ~max_hops);
     List.iter consider extra_pairs;
     let pairs = Array.of_list (List.rev !ordered) in
-    let sizes =
+    let lines, sizes =
       Trace.with_span "optimize.diff_sizes" (fun () ->
-          Pool.parallel_map ~jobs
-            (fun (u, v) ->
-              float_of_int
-                (Line_diff.size (Line_diff.diff contents.(u) contents.(v))))
-            pairs)
+          let lines = Line_diff.intern contents in
+          ( lines,
+            Pool.parallel_map ~jobs
+              (fun (u, v) ->
+                float_of_int (Line_diff.size (Line_diff.diff_in lines u v)))
+              pairs ))
     in
     Array.iteri
       (fun i (u, v) ->
         Aux_graph.add_delta aux ~src:u ~dst:v ~delta:sizes.(i) ~phi:sizes.(i))
       pairs;
-    Ok (aux, contents)
+    Ok (aux, contents, lines)
+
+let reveal_graph t ?(max_hops = 3) ?(extra_pairs = [])
+    ?(jobs = Pool.default_jobs ()) () =
+  let* aux, contents, _ = reveal t ~max_hops ~extra_pairs ~jobs in
+  Ok (aux, contents)
 
 (* [optimize] is crash-safe via a two-phase protocol:
 
@@ -1139,7 +1147,7 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
             ~order:(Array.init n (fun i -> i + 1))
       | _ -> []
     in
-    let* aux, contents = reveal_graph t ~max_hops ~extra_pairs ~jobs () in
+    let* aux, contents, lines = reveal t ~max_hops ~extra_pairs ~jobs in
     let* plan =
       Trace.with_span "optimize.solve" @@ fun () ->
       match strategy with
@@ -1189,9 +1197,9 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
        error or crash here costs only stray blobs. Only entries whose
        storage parent changes are rewritten (the migration-plan
        discipline): unchanged versions keep their existing objects.
-       The payloads (full contents or encoded diffs) are pure
-       functions of the immutable contents array, so they fan out
-       over the domain pool; the [Object_store.put] calls stay
+       The payloads (full contents, or encoded diffs from the reveal's
+       interned lines) are pure functions of immutable arrays, so they
+       fan out over the domain pool; the [Object_store.put] calls stay
        sequential, in plan order, to keep fault-injection sites and
        store traffic identical to a jobs=1 run. *)
     let changed =
@@ -1209,7 +1217,7 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
         Pool.parallel_map ~jobs
           (fun (p, v) ->
             if p = 0 then contents.(v)
-            else Line_diff.encode (Line_diff.diff contents.(p) contents.(v)))
+            else Line_diff.encode (Line_diff.diff_in lines p v))
           changed
       in
       let rec put i stored =

@@ -224,6 +224,10 @@ val storage_parents : t -> (int * int) list
 (** The current storage plan as [(parent, child)] pairs, parent 0 =
     materialized — the solution [P] in the paper's notation. *)
 
+val hop_pairs : t -> max_hops:int -> (int * int) list
+(** Ordered version pairs within [max_hops] of each other in the commit
+    DAG, both directions, in the order {!reveal_graph} diffs them. *)
+
 val reveal_graph :
   t ->
   ?max_hops:int ->
@@ -239,7 +243,10 @@ val reveal_graph :
     {!Versioning_core.Graph_io} for offline analysis. [jobs] (default
     {!Versioning_util.Pool.default_jobs}) parallelizes the pair
     diffs — the dominant cost — over the domain pool; the revealed
-    graph is identical for every value. *)
+    graph is identical for every value. Each version's lines are
+    interned once per call ({!Versioning_delta.Line_diff.intern}) and
+    every pair is priced from them, so each delta's Δ is exactly
+    [Line_diff.size (Line_diff.diff contents.(u) contents.(v))]. *)
 
 val optimize :
   t ->

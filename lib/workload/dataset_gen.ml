@@ -37,11 +37,14 @@ type t = {
 
 let io_model = Delta.io_cpu_model
 
-(* ⟨Δ, Φ⟩ of one directed delta between two contents. *)
-let delta_costs mode a b =
+(* ⟨Δ, Φ⟩ of one directed delta from version [u] to [v]. The line
+   modes price every pair from [lines], each version's lines interned
+   once. *)
+let delta_costs mode ~contents ~lines u v =
+  let a = contents.(u) and b = contents.(v) in
   match mode with
   | Line_directed ->
-      let s = float_of_int (Line_diff.size (Line_diff.diff a b)) in
+      let s = float_of_int (Line_diff.size (Line_diff.diff_in (Lazy.force lines) u v)) in
       (s, s)
   | Line_compressed ->
       let d = Delta.line_delta ~compress:true a b in
@@ -53,8 +56,9 @@ let delta_costs mode a b =
       in
       (s, s)
   | Two_way ->
-      let d = Line_diff.diff a b in
-      let s = float_of_int (Line_diff.symmetric_size d a) in
+      let lines = Lazy.force lines in
+      let d = Line_diff.diff_in lines u v in
+      let s = float_of_int (Line_diff.symmetric_size lines u d) in
       (s, s)
 
 let materialization_costs mode content =
@@ -73,11 +77,12 @@ let build_aux ~contents ~mode ~pairs =
     let delta, phi = materialization_costs mode contents.(v) in
     Aux_graph.add_materialization aux ~version:v ~delta ~phi
   done;
+  let lines = lazy (Line_diff.intern contents) in
   let n_deltas = ref 0 in
   let delta_sizes = ref [] in
   List.iter
     (fun (u, v) ->
-      let delta, phi = delta_costs mode contents.(u) contents.(v) in
+      let delta, phi = delta_costs mode ~contents ~lines u v in
       Aux_graph.add_delta aux ~src:u ~dst:v ~delta ~phi;
       incr n_deltas;
       delta_sizes := delta :: !delta_sizes;

@@ -1,5 +1,7 @@
 module Line_diff = Versioning_delta.Line_diff
 module Prng = Versioning_util.Prng
+module Obs = Versioning_obs.Obs
+module Metrics = Versioning_obs.Metrics
 
 let test_roundtrip_basic () =
   let a = "one\ntwo\nthree" and b = "one\n2\nthree\nfour" in
@@ -59,7 +61,8 @@ let test_size_positive () =
   let d = Line_diff.diff "a\nb" "a\nc" in
   Alcotest.(check bool) "size > 0" true (Line_diff.size d > 0);
   Alcotest.(check bool) "symmetric >= one way" true
-    (Line_diff.symmetric_size d "a\nb" >= Line_diff.size d)
+    (Line_diff.symmetric_size (Line_diff.intern [| "a\nb" |]) 0 d
+    >= Line_diff.size d)
 
 let gen_doc rng =
   let n = Prng.int rng 40 in
@@ -78,6 +81,69 @@ let test_random_roundtrips () =
     if not (Line_diff.equal d d') then Alcotest.fail "codec failed"
   done
 
+(* ---- interned lines ----
+
+   Documents over a small line pool, so lines repeat within and across
+   documents; the pool has the empty line, spaces and carriage returns,
+   and a document may end with or without a final newline. *)
+
+let gen_docs =
+  QCheck.Gen.(
+    let line = oneofl [ ""; " "; "a b"; "a"; "b"; "x\r"; "\r"; "a b \r"; "1,2" ] in
+    let doc =
+      map2
+        (fun ls trailing ->
+          let d = String.concat "\n" ls in
+          if trailing then d ^ "\n" else d)
+        (list_size (int_range 0 12) line)
+        bool
+    in
+    array_size (int_range 1 6) doc)
+
+let print_docs docs =
+  String.concat " | " (Array.to_list (Array.map String.escaped docs))
+
+let encode_counters () =
+  let snap = Metrics.snapshot_values () in
+  let get name = Option.value (List.assoc_opt name snap) ~default:0.0 in
+  ( get "dsvc_delta_line_encode_total",
+    get "dsvc_delta_line_encode_bytes_total" )
+
+let qcheck_interned =
+  QCheck.Test.make ~count:300
+    ~name:"diff_in = diff, size = |encode|, sizes count as encodes"
+    (QCheck.make ~print:print_docs gen_docs)
+    (fun docs ->
+      let lines = Line_diff.intern docs in
+      let n = Array.length docs in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let d = Line_diff.diff docs.(u) docs.(v) in
+          if not (Line_diff.equal (Line_diff.diff_in lines u v) d) then
+            QCheck.Test.fail_reportf "diff_in %d %d differs from diff" u v;
+          let encoded = Line_diff.encode d in
+          if Line_diff.size d <> String.length encoded then
+            QCheck.Test.fail_reportf "size %d %d: %d, encoded %d bytes" u v
+              (Line_diff.size d) (String.length encoded);
+          if
+            Line_diff.symmetric_size lines u d
+            <> String.length encoded
+               + String.length (Line_diff.encode (Line_diff.invert docs.(u) d))
+          then QCheck.Test.fail_reportf "symmetric_size %d %d" u v;
+          Obs.with_enabled true (fun () ->
+              let c0, b0 = encode_counters () in
+              ignore (Line_diff.size d);
+              let c1, b1 = encode_counters () in
+              ignore (Line_diff.encode d);
+              let c2, b2 = encode_counters () in
+              if c1 -. c0 <> 1.0 || c2 -. c1 <> 1.0 || b1 -. b0 <> b2 -. b1 then
+                QCheck.Test.fail_reportf
+                  "counters: size moved (%g, %g), encode (%g, %g)" (c1 -. c0)
+                  (b1 -. b0) (c2 -. c1) (b2 -. b1))
+        done
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "roundtrip basic" `Quick test_roundtrip_basic;
@@ -90,4 +156,5 @@ let suite =
     Alcotest.test_case "apply wrong source" `Quick test_apply_wrong_source;
     Alcotest.test_case "sizes" `Quick test_size_positive;
     Alcotest.test_case "random roundtrips" `Quick test_random_roundtrips;
+    QCheck_alcotest.to_alcotest qcheck_interned;
   ]
