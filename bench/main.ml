@@ -7,11 +7,10 @@
      dune exec bench/main.exe -- --out data/    # also write CSV series
 
    Experiments: fig12 sec52 fig13 fig14 fig15 fig16 fig17 table2
-   table2b ablation micro perf cluster concurrency telemetry timeseries
-   (micro = Bechamel microbenchmarks of the algorithm kernels; table2b
-   onwards go beyond the paper — cluster measures the replicated store
-   of DESIGN.md §12, concurrency the event-driven server core of §13
-   under 1/100/1000 keep-alive clients, telemetry the workload-drift
+   table2b ablation perf cluster concurrency telemetry timeseries
+   (table2b onwards go beyond the paper — cluster measures the
+   replicated store of DESIGN.md §12, concurrency the event-driven
+   server core of §13 under 1/100/1000 keep-alive clients, telemetry the workload-drift
    observatory of §15: a skewed Zipf stream raises the drift score and
    an observed-weight re-plan lowers the access-weighted recreation
    cost, timeseries the metric ring of §16).
@@ -1049,58 +1048,6 @@ let ablation ~quick seed =
      adaptive/workload-aware future work."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the algorithm kernels.                  *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Microbenchmarks (Bechamel): algorithm kernels, n=400 versions";
-  let rng = Prng.create ~seed:31415 in
-  let history = History_gen.generate (History_gen.flat_params ~n_commits:400) rng in
-  let g =
-    Cost_gen.generate history
-      { Cost_gen.default_params with max_hops = 5; reveal_cap = 12 }
-      rng
-  in
-  let base, spt = base_and_spt g in
-  let budget = 2.0 *. Storage_graph.storage_cost base in
-  let theta = 3.0 *. Storage_graph.max_recreation spt in
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"mca" (Staged.stage (fun () -> ok (Mca.solve g)));
-      Test.make ~name:"spt" (Staged.stage (fun () -> ok (Spt.solve g)));
-      Test.make ~name:"lmg"
-        (Staged.stage (fun () -> Lmg.solve g ~base ~spt ~budget ()));
-      Test.make ~name:"mp" (Staged.stage (fun () -> Mp.solve g ~theta));
-      Test.make ~name:"last"
-        (Staged.stage (fun () -> Last.solve g ~base ~alpha:2.0));
-      Test.make ~name:"gith"
-        (Staged.stage (fun () -> ok (Gith.solve g ~window:10 ~max_depth:50)));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 50) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let raw =
-    benchmark (Test.make_grouped ~name:"kernels" ~fmt:"%s %s" tests)
-  in
-  let results = analyze raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-24s %12.0f ns/run\n" name est
-      | _ -> Printf.printf "%-24s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Perf: the multicore pipeline and the checkout cache, measured.      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1765,7 +1712,6 @@ let () =
   run_exp "table2" (fun () -> table2 ~quick seed);
   run_exp "table2b" (fun () -> table2b ~quick seed);
   run_exp "ablation" (fun () -> ablation ~quick seed);
-  run_exp "micro" (fun () -> micro ());
   run_exp "perf" (fun () -> perf ~quick ~jobs seed);
   run_exp "cluster" (fun () -> cluster ~quick seed);
   run_exp "concurrency" (fun () -> concurrency ~quick);

@@ -187,26 +187,21 @@ let render t =
 
 (* ---- the stock rule set ----
 
-   Windows and bounds are env-tunable through the validated parsers;
-   the metric names are the derived SLI series the Sampler maintains
+   Windows and bounds are constants: 5 min/1 h burn-rate windows, a
+   60 s hold, a 2 s checkout p99 and a drift score of 1. The metric
+   names are the derived SLI series the Sampler maintains
    (reserved "sli:" prefix), so rules survive label churn in the raw
    registry. *)
 
 let default_rules () =
-  let short =
-    Obs.env_float "DSVC_ALERT_WINDOW_SHORT" ~min:0.01 ~default:300.0
-  in
-  let long =
-    Obs.env_float "DSVC_ALERT_WINDOW_LONG" ~min:0.01 ~default:3600.0
-  in
-  let hold = Obs.env_float "DSVC_ALERT_HOLD" ~min:0.0 ~default:60.0 in
+  let short = 300.0 and long = 3600.0 and hold = 60.0 in
   [
     ( "checkout_p99",
       Threshold
         {
           metric = "sli:checkout_p99_seconds";
           cmp = Gt;
-          bound = Obs.env_float "DSVC_ALERT_CHECKOUT_P99" ~default:2.0;
+          bound = 2.0;
           hold;
           window = 0.0;
         } );
@@ -215,7 +210,7 @@ let default_rules () =
         {
           metric = "sli:drift_score";
           cmp = Gt;
-          bound = Obs.env_float "DSVC_ALERT_DRIFT" ~default:1.0;
+          bound = 1.0;
           hold;
           window = 0.0;
         } );

@@ -58,9 +58,9 @@ val default_rules : unit -> (string * rule) list
 (** The stock set over the sampler's derived SLI series: checkout p99
     latency and drift-score thresholds, quorum-write and scrape-up
     burn rates, plus an immediate [cluster_scrape_up] threshold so a
-    dead peer fires within one sampling step. Windows/bounds read
-    [DSVC_ALERT_WINDOW_SHORT]/[_LONG]/[_HOLD]/[_CHECKOUT_P99]/[_DRIFT]
-    via {!Obs.env_float}. *)
+    dead peer fires within one sampling step. Burn-rate windows are
+    300 s and 3600 s, thresholds hold for 60 s, and the bounds are a
+    2.0 s checkout p99 and a drift score of 1.0. *)
 
 val rule_names : t -> string list
 

@@ -61,23 +61,13 @@ let fresh_request_id () = Printf.sprintf "%016Lx" (next_word ())
 
 (* ---- head-based sampling for the flight recorder ---- *)
 
-let default_sample_interval = 8
-
-(* [min:0]: zero is meaningful here (sampling off); negatives and
-   garbage are rejected with a message by the shared parser. *)
-let sample_interval () =
-  Obs.env_int "DSVC_FLIGHT_SAMPLE" ~min:0 ~default:default_sample_interval
+let sample_interval = 8
 
 let sample_counter = Atomic.make 0
 
 (* One decision per operation head: every Nth context is sampled, so
-   the flight recorder has material without tracing every request.
-   N = 0 disables sampling entirely. *)
-let decide () =
-  let n = sample_interval () in
-  if n <= 0 then false
-  else if n = 1 then true
-  else Atomic.fetch_and_add sample_counter 1 mod n = 0
+   the flight recorder has material without tracing every request. *)
+let decide () = Atomic.fetch_and_add sample_counter 1 mod sample_interval = 0
 
 let make ?sampled ?request_id () =
   let sampled = match sampled with Some b -> b | None -> decide () in

@@ -22,8 +22,8 @@ type t = {
 
 val make : ?sampled:bool -> ?request_id:string -> unit -> t
 (** Fresh context with random trace/request ids. [sampled] defaults to
-    the head-based decision: every Nth call is sampled, where N is
-    [DSVC_FLIGHT_SAMPLE] (default 8; 0 disables sampling). *)
+    the head-based decision: every {!sample_interval}th call is
+    sampled. *)
 
 val to_traceparent : ?span:int -> t -> string
 (** W3C trace-context header value,
@@ -58,6 +58,5 @@ val sampled_now : unit -> bool
     read — cheap enough for the hot path even when everything is
     off. *)
 
-val sample_interval : unit -> int
-(** The configured 1-in-N sampling interval ([DSVC_FLIGHT_SAMPLE],
-    default 8; 0 = never sample). *)
+val sample_interval : int
+(** The 1-in-N head-sampling interval: 8. *)

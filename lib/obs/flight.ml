@@ -4,7 +4,7 @@
    off.
 
    Cost discipline: spans only land here when their operation's
-   context was head-sampled (Context.decide, default 1-in-8), so the
+   context was head-sampled (Context.decide, 1 in 8), so the
    steady-state overhead is one DLS read per span. Log records are
    rare and always kept. The ring is memory-only; like Trace, this
    module never opens files — dumping [to_json] through Fsutil is the

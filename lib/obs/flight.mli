@@ -3,7 +3,7 @@
     post-mortems work even when full tracing was off.
 
     Spans land here only when the ambient {!Context} was head-sampled
-    (default 1 in 8 operations, [DSVC_FLIGHT_SAMPLE]); log records are
+    (1 in {!Context.sample_interval} operations); log records are
     always kept. The ring is invisible in normal operation — it is
     only ever serialized by {!to_json} when a caller dumps it on
     crash, SIGTERM, or [dsvc flight-dump]. Like the rest of lib/obs,

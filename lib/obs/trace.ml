@@ -8,8 +8,8 @@
    trace id, which is how client and server spans of one request end
    up in one trace.
 
-   The ring keeps the most recent [capacity ()] completed spans
-   (DSVC_TRACE_RING, default 8192); [to_chrome_json] renders them in
+   The ring keeps the most recent [capacity ()] completed spans (8192
+   unless [set_capacity] resized it); [to_chrome_json] renders them in
    Chrome trace_event format. The caller is responsible for writing
    the file (through Fsutil — this library never opens files).
 
@@ -29,34 +29,18 @@ type span = {
   trace : string option; (* ambient Context trace id, if any *)
 }
 
-(* ---- ring capacity (DSVC_TRACE_RING) ---- *)
+(* ---- ring capacity ---- *)
 
 let default_capacity = 8192
 let min_capacity = 16
 let max_capacity = 1 lsl 20
-
-let capacity_of_string s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= min_capacity && n <= max_capacity -> Ok n
-  | Some n ->
-      Error
-        (Printf.sprintf "DSVC_TRACE_RING must be between %d and %d (got %d)"
-           min_capacity max_capacity n)
-  | None ->
-      Error (Printf.sprintf "DSVC_TRACE_RING must be an integer (got %S)" s)
-
-(* Same validation as [capacity_of_string] (kept as the test hook /
-   [set_capacity] guard), through the shared env parser. *)
-let env_capacity =
-  Obs.env_int "DSVC_TRACE_RING" ~min:min_capacity ~max:max_capacity
-    ~default:default_capacity
 
 let mutex = Mutex.create ()
 
 (* lint: mutable-ok the completed-span ring, replaced by
    [set_capacity]; every access takes [mutex] above, and nothing ever
    reads it to make a decision *)
-let ring = ref (Bounded_ring.create env_capacity)
+let ring = ref (Bounded_ring.create default_capacity)
 
 let next_id = Atomic.make 1
 

@@ -45,21 +45,17 @@ val span_count : unit -> int
 val reset : unit -> unit
 
 val capacity : unit -> int
-(** Current ring capacity: [DSVC_TRACE_RING] at startup (default
-    8192), or the last {!set_capacity}. *)
+(** Current ring capacity: {!default_capacity} at startup, or the
+    last {!set_capacity}. *)
 
 val default_capacity : int
-
-val capacity_of_string : string -> (int, string) result
-(** Validate a [DSVC_TRACE_RING] value: an integer within
-    [[16, 1048576]]. The env path falls back to {!default_capacity}
-    (with a stderr warning) on anything else. *)
+(** 8192 spans. *)
 
 val set_capacity : int -> unit
 (** Replace the ring with an empty one of the given capacity
-    (resetting recorded spans). Raises [Invalid_argument] outside the
-    bounds {!capacity_of_string} accepts. Primarily a test hook —
-    production configuration goes through [DSVC_TRACE_RING]. *)
+    (resetting recorded spans). Raises [Invalid_argument] outside
+    [[16, 1048576]]. A hook for tests and benchmarks that record more
+    spans than the default ring holds. *)
 
 val to_chrome_json : unit -> string
 (** Render the ring as Chrome [trace_event] JSON. The caller writes

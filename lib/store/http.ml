@@ -1,5 +1,3 @@
-module Faults = Versioning_util.Faults
-
 type request = {
   meth : string;
   path : string;
@@ -132,9 +130,7 @@ let parse_query q =
            | None ->
                if kv = "" then None else Some (percent_decode_query kv, ""))
 
-(* ---- shared request-line / header parsing ------------------------ *)
-
-let ( let* ) = Result.bind
+(* ---- request-line / header parsing ------------------------------- *)
 
 let parse_request_line line =
   match String.split_on_char ' ' line with
@@ -398,41 +394,6 @@ module Parser = struct
         end)
 end
 
-(* ---- blocking channel API (client responses, tests, tools) ------- *)
-
-let read_line_crlf ic =
-  match In_channel.input_line ic with
-  | None -> Error "unexpected end of stream"
-  | Some line ->
-      let line =
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Ok line
-
-let read_request ?(max_body = 64 * 1024 * 1024) ic =
-  let* request_line = read_line_crlf ic in
-  let* meth, target, version = parse_request_line request_line in
-  let path, query = split_target target in
-  let rec read_headers acc =
-    let* line = read_line_crlf ic in
-    if line = "" then Ok (List.rev acc)
-    else
-      let* kv = parse_header_line line in
-      read_headers (kv :: acc)
-  in
-  let* headers = read_headers [] in
-  let* body =
-    match body_length_of_headers ~max_body headers with
-    | Error (_, reason) -> Error reason
-    | Ok 0 -> Ok ""
-    | Ok len -> (
-        try Ok (really_input_string ic len)
-        with End_of_file -> Error "truncated body")
-  in
-  Ok { meth; path; query; headers; body; version }
-
 (* A header value must not smuggle CR/LF into the response framing,
    whatever the handler put in it. *)
 let sanitize_header_value v =
@@ -459,25 +420,3 @@ let serialize_header ?(keep_alive = false) resp =
     (if keep_alive then "Connection: keep-alive\r\n\r\n"
      else "Connection: close\r\n\r\n");
   Buffer.contents buf
-
-let write_response oc resp =
-  (* Fault-injection point: a [Drop] armed here models the peer
-     vanishing before the response is written. *)
-  Faults.guard "http.write_response";
-  output_string oc (serialize_header ~keep_alive:false resp);
-  (match resp.stream with
-  | None -> output_string oc resp.body
-  | Some s ->
-      let rec go () =
-        match s.read_chunk () with
-        | Ok (Some chunk) ->
-            output_string oc chunk;
-            go ()
-        | Ok None -> s.close_stream ()
-        | Error _ ->
-            (* Headers are gone; all we can do is cut the body short
-               so the Content-Length mismatch surfaces client-side. *)
-            s.close_stream ()
-      in
-      go ());
-  flush oc

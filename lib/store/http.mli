@@ -2,10 +2,9 @@
 
     The paper's prototype serves version operations "in a client-server
     model over HTTP" (§5); this module supplies the protocol layer for
-    that: request parsing (blocking-channel and incremental), response
-    serialization with streamed bodies, and percent-decoding. Requests
-    and responses are always Content-Length framed — no chunked
-    encoding, no TLS. The event-driven connection handling lives in
+    that: incremental request parsing, response serialization with
+    streamed bodies, and percent-decoding. Requests and responses are
+    always Content-Length framed — no chunked encoding, no TLS. The event-driven connection handling lives in
     {!Server}; see DESIGN.md §13. *)
 
 type request = {
@@ -54,17 +53,6 @@ val body_length : response -> int
 val response_body : response -> (string, string) result
 (** Materialize the body; drains (and closes) a streamed body, so a
     stream can be read at most once. *)
-
-val read_request :
-  ?max_body:int -> in_channel -> (request, string) result
-(** Parse one request from a blocking channel. [max_body] (default
-    64 MiB) bounds Content-Length. Requests with duplicate or
-    conflicting Content-Length headers are rejected. *)
-
-val write_response : out_channel -> response -> unit
-(** One-shot blocking write, always [Connection: close]. Consults the
-    ["http.write_response"] fault site. The event-driven server uses
-    {!serialize_header} + vectored writes instead. *)
 
 val serialize_header : ?keep_alive:bool -> response -> string
 (** Status line + headers + CRLFCRLF; Content-Length comes from

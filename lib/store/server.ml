@@ -1051,8 +1051,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
       end
     and enqueue_response conn ~keep resp =
       (* The fault site that makes the peer vanish instead of
-         responding — same observable failure as the old blocking
-         server's [Http.write_response] guard. *)
+         responding. *)
       match Faults.guard "http.write_response" with
       | exception Faults.Injected _ ->
           (match resp.Http.stream with

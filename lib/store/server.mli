@@ -132,9 +132,9 @@ val serve :
     ([DSVC_IDLE_TIMEOUT] or 5) seconds is closed silently.
 
     [backend] pins the reactor poller ("epoll" or "poll"); unset,
-    [DSVC_EVLOOP] / auto-detection decide as documented in
-    {!Versioning_util.Evloop.create}. The backend-matrix tests use it
-    to assert the two backends agree on observable behavior.
+    {!Versioning_util.Evloop.create} picks epoll where available,
+    otherwise poll. The backend-matrix tests use it to assert the two
+    backends agree on observable behavior.
 
     SIGINT/SIGTERM request a graceful shutdown (in-flight work
     finishes, the listening socket closes, previous signal handlers

@@ -7,8 +7,8 @@
    Two interchangeable poller backends sit behind the same table of
    registered fds: epoll(7) where the platform has it (persistent
    interest set, O(ready) per wait), and poll(2) as the portable
-   default (no FD_SETSIZE ceiling). DSVC_EVLOOP picks explicitly;
-   "auto" prefers epoll, then poll. *)
+   fallback (no FD_SETSIZE ceiling). [create] prefers epoll; tests pin
+   a backend by name. *)
 
 external has_epoll : unit -> bool = "dsvc_has_epoll"
 external fd_int : Unix.file_descr -> int = "dsvc_fd_int"
@@ -71,7 +71,7 @@ let ctl_check what rc =
 
 let choose_backend = function
   | Some "poll" -> Poll
-  | Some "epoll" | Some "auto" | Some "" | None ->
+  | Some "epoll" | None ->
       if has_epoll () then begin
         let ep = epoll_create () in
         if fd_int ep >= 0 then Epoll ep else Poll
@@ -79,16 +79,11 @@ let choose_backend = function
       else Poll
   | Some other ->
       failwith
-        (Printf.sprintf
-           "DSVC_EVLOOP=%s: expected auto, epoll, or poll" other)
+        (Printf.sprintf "Evloop.create: backend %S: expected epoll or poll"
+           other)
 
 let create ?backend () =
-  let backend =
-    choose_backend
-      (match backend with
-      | Some _ as b -> b
-      | None -> Sys.getenv_opt "DSVC_EVLOOP")
-  in
+  let backend = choose_backend backend in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;

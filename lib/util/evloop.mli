@@ -6,13 +6,12 @@
 
     - ["epoll"] — Linux epoll(7): persistent kernel interest set,
       O(ready) waits; the fast path where available.
-    - ["poll"] — poll(2) via a small C stub: the portable default and
+    - ["poll"] — poll(2) via a small C stub: the portable fallback and
       the only backend off Linux; no FD_SETSIZE ceiling on descriptor
       numbers.
 
-    [DSVC_EVLOOP] (auto | epoll | poll) chooses when the
-    creator passes no explicit backend; "auto" prefers epoll, then
-    poll.
+    Without an explicit backend, {!create} uses epoll when
+    {!has_epoll}, otherwise poll.
 
     Threading contract: exactly one thread calls {!wait} (and
     {!add}/{!modify}/{!remove}, directly or from callbacks). Any
@@ -24,7 +23,10 @@ type t
 type event = [ `Read | `Write ]
 
 val create : ?backend:string -> unit -> t
-(** Create a loop. Raises [Failure] on an unknown backend name. *)
+(** Create a loop. [backend] (["epoll"] or ["poll"]) pins the poller,
+    for tests that run a case on each; ["epoll"] still falls back to
+    poll where epoll is unavailable. Raises [Failure] on any other
+    name. *)
 
 val has_epoll : unit -> bool
 (** Whether this build can create epoll loops (Linux). Lets the

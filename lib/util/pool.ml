@@ -5,15 +5,10 @@ module Context = Versioning_obs.Context
 
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 
+(* Garbage or a value below 1 complains on stderr and yields 1; large
+   values are clamped rather than rejected. *)
 let default_jobs =
-  let cached = lazy (
-    match Sys.getenv_opt "DSVC_JOBS" with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> clamp 1 128 n
-        | None -> 1))
-  in
+  let cached = lazy (Int.min 128 (Obs.env_int "DSVC_JOBS" ~default:1)) in
   fun () -> Lazy.force cached
 
 let recommended_jobs () = Domain.recommended_domain_count ()

@@ -23,9 +23,11 @@
     one of the captured exceptions with its original backtrace. *)
 
 val default_jobs : unit -> int
-(** The [DSVC_JOBS] environment variable clamped to [1, 128], or [1]
-    when unset/unparseable. Read once at first use. This is the
-    default for every [?jobs] knob in the library, so a test run under
+(** The [DSVC_JOBS] environment variable, capped at 128, or [1] when
+    unset or blank. Read once at first use, through
+    {!Versioning_obs.Obs.env_int}: a non-integer or a value below 1
+    prints one line on stderr and yields [1]. This is the default for
+    every [?jobs] knob in the library, so a test run under
     [DSVC_JOBS=2] exercises every parallel path. *)
 
 val recommended_jobs : unit -> int

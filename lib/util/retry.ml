@@ -28,16 +28,10 @@ let seeded_rand ~seed =
 (* Jitter exists to decorrelate clients that fail in lockstep (a node
    death makes every client retry against the survivors at once), so
    by default each process draws from its own pid/clock-seeded stream.
-   DSVC_RETRY_SEED pins the stream for reproducible schedules in
-   tests and deterministic chaos harnesses. *)
+   A caller that needs a reproducible schedule passes [seeded_rand]. *)
 let default_rand () =
-  match Option.bind (Sys.getenv_opt "DSVC_RETRY_SEED") int_of_string_opt with
-  | Some seed -> seeded_rand ~seed
-  | None ->
-      let seed =
-        Unix.getpid () lxor int_of_float (Unix.gettimeofday () *. 1_000_000.0)
-      in
-      seeded_rand ~seed
+  let clock = int_of_float (Unix.gettimeofday () *. 1_000_000.0) in
+  seeded_rand ~seed:(Unix.getpid () lxor clock)
 
 let log_src = Logs.Src.create "dsvc.retry" ~doc:"Retry backoff"
 

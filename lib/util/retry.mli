@@ -29,9 +29,9 @@ val seeded_rand : seed:int -> unit -> float
 (** A {!Prng}-backed uniform draw in [0,1) determined entirely by
     [seed] — equal seeds yield equal jitter schedules, so tests can
     reproduce an exact backoff sequence. This is also what the default
-    [rand] uses: seeded from the pid and clock normally (decorrelating
-    the thundering herd of clients failing over to a surviving peer
-    together), or from [DSVC_RETRY_SEED] when that is set. *)
+    [rand] uses, seeded from the pid and clock (decorrelating the
+    thundering herd of clients failing over to a surviving peer
+    together). *)
 
 val with_policy :
   ?policy:policy ->

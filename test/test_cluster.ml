@@ -64,17 +64,19 @@ let node_client node =
   let _, port = ok (Cluster_client.parse_endpoint node.name) in
   Client.connect ~timeout:2.0 ~retries:1 ~host:"127.0.0.1" ~port ()
 
+let read_log node =
+  try In_channel.with_open_bin node.log In_channel.input_all
+  with Sys_error _ -> "(no log)"
+
 let tail_log node =
-  match
-    let ic = open_in_bin node.log in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s ->
-      let n = String.length s in
-      String.sub s (max 0 (n - 2000)) (min n 2000)
-  | exception Sys_error _ -> "(no log)"
+  let s = read_log node in
+  let n = String.length s in
+  String.sub s (max 0 (n - 2000)) (min n 2000)
+
+let contains hay needle =
+  let nn = String.length needle and nb = String.length hay in
+  let rec go i = i + nn <= nb && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let wait_healthy node =
   let client = node_client node in
@@ -170,6 +172,17 @@ let test_chaos () =
   Fun.protect ~finally:restore_step @@ fun () ->
   List.iter spawn nodes;
   List.iter wait_healthy nodes;
+  let backend =
+    if Versioning_util.Evloop.has_epoll () then "epoll" else "poll"
+  in
+  List.iter
+    (fun n ->
+      let log = read_log n in
+      let needle = "event loop backend: " ^ backend in
+      if not (contains log needle) then
+        Alcotest.failf "node %s did not log %S; log tail:\n%s" n.name needle
+          (tail_log n))
+    nodes;
   let cc = ok (Cluster_client.connect (List.map (fun n -> n.name) nodes)) in
   let failures = ref [] in
   let must label r =
@@ -235,13 +248,7 @@ let test_chaos () =
    | None -> ()
    | Some (status, body) ->
        Alcotest.(check int) "scrape 200" 200 status;
-       let contains needle =
-         let nn = String.length needle and nb = String.length body in
-         let rec go i =
-           i + nn <= nb && (String.sub body i nn = needle || go (i + 1))
-         in
-         go 0
-       in
+       let contains = contains body in
        Alcotest.(check bool) "scraping node reports itself up" true
          (contains
             (Printf.sprintf "dsvc_cluster_scrape_up{peer=%S} 1" scraper.name));
@@ -262,11 +269,6 @@ let test_chaos () =
      hints show up as replication-lag series ---- *)
   (let scraper = List.nth nodes 1 in
    let client = node_client scraper in
-   let contains hay needle =
-     let nn = String.length needle and nb = String.length hay in
-     let rec go i = i + nn <= nb && (String.sub hay i nn = needle || go (i + 1)) in
-     go 0
-   in
    let deadline = Unix.gettimeofday () +. 10.0 in
    let rec poll_firing () =
      match Client.request client ~meth:"GET" ~path:"/alerts" () with

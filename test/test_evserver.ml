@@ -66,19 +66,25 @@ let qcheck_decode_total =
 let test_parser_pipelined () =
   let p = Http.Parser.create () in
   Http.Parser.feed_string p
-    ("GET /a?x=1 HTTP/1.1\r\nHost: h\r\n\r\n"
-   ^ "POST /b HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello"
+    ("GET /a?x=1&msg=hello%20world HTTP/1.1\r\nHost: h\r\n\r\n"
+   ^ "POST /b HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n"
+   ^ "Content-Type: t\r\n\r\nhello"
    ^ "GET /c HTTP/1.1\r\nHost: h\r\n\r\n");
   (match Http.Parser.next p with
   | `Request r ->
       Alcotest.(check string) "first path" "/a" r.Http.path;
       Alcotest.(check (option string)) "first query" (Some "1")
-        (List.assoc_opt "x" r.Http.query)
+        (List.assoc_opt "x" r.Http.query);
+      Alcotest.(check (option string)) "query decoded" (Some "hello world")
+        (List.assoc_opt "msg" r.Http.query);
+      Alcotest.(check string) "GET body empty" "" r.Http.body
   | _ -> Alcotest.fail "first request expected");
   (match Http.Parser.next p with
   | `Request r ->
       Alcotest.(check string) "second meth" "POST" r.Http.meth;
-      Alcotest.(check string) "second body" "hello" r.Http.body
+      Alcotest.(check string) "second body" "hello" r.Http.body;
+      Alcotest.(check (option string)) "header name lowered" (Some "t")
+        (List.assoc_opt "content-type" r.Http.headers)
   | _ -> Alcotest.fail "second request expected");
   (match Http.Parser.next p with
   | `Request r -> Alcotest.(check string) "third path" "/c" r.Http.path
@@ -137,14 +143,29 @@ let test_parser_limits () =
   | _ -> Alcotest.fail "oversize body must reject"
 
 let test_parser_content_length_hygiene () =
-  let reject_of s =
+  let verdict s =
     let p = Http.Parser.create () in
     Http.Parser.feed_string p s;
-    match Http.Parser.next p with
+    Http.Parser.next p
+  in
+  let reject_of s =
+    match verdict s with
     | `Reject r -> r.Http.Parser.reject_status
     | `Request _ -> Alcotest.failf "accepted %S" s
     | `Partial -> Alcotest.failf "no verdict for %S" s
   in
+  (* no input, or a body shorter than its Content-Length, is a request
+     still arriving *)
+  List.iter
+    (fun s ->
+      match verdict s with
+      | `Partial -> ()
+      | _ -> Alcotest.failf "expected partial for %S" s)
+    [ ""; "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort" ];
+  Alcotest.(check int) "malformed request line" 400
+    (reject_of "NOT-A-REQUEST\r\n\r\n");
+  Alcotest.(check int) "malformed header" 400
+    (reject_of "GET /x HTTP/1.1\r\nbadheader\r\n\r\n");
   Alcotest.(check int) "duplicate CL" 400
     (reject_of
        "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc");
@@ -160,12 +181,18 @@ let test_parser_content_length_hygiene () =
 
 (* ---- socket plumbing ---- *)
 
+(* Every server-level case runs once per reactor backend: poll
+   everywhere, epoll where the platform has it. *)
+let backends = "poll" :: (if Evloop.has_epoll () then [ "epoll" ] else [])
+
+let on_backends f = List.iter f backends
+
 (* Serve on an ephemeral port; the on_listen handshake hands the
    actual port back before the first connect. Every test server gets a
    max_requests so it shuts itself down once the expected responses
    have been enqueued (503 rejections don't count — they never reach
    the response path). *)
-let start_server ?request_timeout ?idle_timeout ?max_connections ?backend
+let start_server ?request_timeout ?idle_timeout ?max_connections ~backend
     ~max_requests repo =
   let mu = Mutex.create () in
   let cv = Condition.create () in
@@ -175,7 +202,7 @@ let start_server ?request_timeout ?idle_timeout ?max_connections ?backend
       (fun () ->
         match
           Server.serve repo ~port:0 ?request_timeout ?idle_timeout
-            ?max_connections ?backend ~max_requests
+            ?max_connections ~backend ~max_requests
             ~on_listen:(fun p ->
               Mutex.lock mu;
               port := p;
@@ -265,8 +292,9 @@ let find_sub hay needle =
 (* ---- keep-alive, pipelining and the limit responses ---- *)
 
 let test_keepalive_then_close () =
+  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~max_requests:3 repo in
+  let port, server = start_server ~backend ~max_requests:3 repo in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
   send oc "GET /stats HTTP/1.1\r\nHost: h\r\n\r\n";
@@ -285,8 +313,9 @@ let test_keepalive_then_close () =
   Thread.join server
 
 let test_socket_pipelining () =
+  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~max_requests:2 repo in
+  let port, server = start_server ~backend ~max_requests:2 repo in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
   (* both requests on the wire before either response: responses must
@@ -303,8 +332,11 @@ let test_socket_pipelining () =
   Thread.join server
 
 let test_request_timeout_408 () =
+  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~request_timeout:0.3 ~max_requests:1 repo in
+  let port, server =
+    start_server ~backend ~request_timeout:0.3 ~max_requests:1 repo
+  in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
   (* a request that never finishes: mid-request silence is a 408 *)
@@ -315,8 +347,11 @@ let test_request_timeout_408 () =
   Thread.join server
 
 let test_idle_close_silent () =
+  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~idle_timeout:0.25 ~max_requests:2 repo in
+  let port, server =
+    start_server ~backend ~idle_timeout:0.25 ~max_requests:2 repo
+  in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
   send oc "GET /stats HTTP/1.1\r\nHost: h\r\n\r\n";
@@ -333,8 +368,11 @@ let test_idle_close_silent () =
   Thread.join server
 
 let test_max_connections_503 () =
+  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~max_connections:1 ~max_requests:1 repo in
+  let port, server =
+    start_server ~backend ~max_connections:1 ~max_requests:1 repo
+  in
   let sock1, ic1, oc1 = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock1) @@ fun () ->
   Unix.sleepf 0.05;
@@ -350,7 +388,7 @@ let test_max_connections_503 () =
   Alcotest.(check int) "admitted connection still served" 200 s1;
   Thread.join server
 
-(* ---- backend matrix: the three pollers must agree ---- *)
+(* ---- backend matrix: the pollers must agree ---- *)
 
 (* One probe run against a server pinned to [backend], collecting the
    status codes of the three limit behaviors: oversized headers (413),
@@ -397,24 +435,26 @@ let probe_backend backend =
   (s413, s503, s408)
 
 let test_backend_matrix () =
-  let backends =
-    "poll" :: (if Evloop.has_epoll () then [ "epoll" ] else [])
-  in
-  List.iter
-    (fun backend ->
-      let s413, s503, s408 = probe_backend backend in
-      Alcotest.(check int) (backend ^ ": oversized header is 413") 413 s413;
-      Alcotest.(check int) (backend ^ ": over capacity is 503") 503 s503;
-      Alcotest.(check int) (backend ^ ": stalled request is 408") 408 s408)
-    backends
+  let loop = Evloop.create () in
+  let default = Evloop.backend_name loop in
+  Evloop.close loop;
+  Alcotest.(check string) "epoll is the default where available"
+    (if Evloop.has_epoll () then "epoll" else "poll")
+    default;
+  on_backends @@ fun backend ->
+  let s413, s503, s408 = probe_backend backend in
+  Alcotest.(check int) (backend ^ ": oversized header is 413") 413 s413;
+  Alcotest.(check int) (backend ^ ": over capacity is 503") 503 s503;
+  Alcotest.(check int) (backend ^ ": stalled request is 408") 408 s408
 
 (* ---- streamed blob bodies under fault ---- *)
 
 let test_streamed_blob_fault () =
   Faults.reset ();
   Fun.protect ~finally:(fun () -> Faults.reset ()) @@ fun () ->
+  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~max_requests:2 repo in
+  let port, server = start_server ~backend ~max_requests:2 repo in
   (* several 64 KiB chunks' worth of blob *)
   let content =
     String.init 200_000 (fun i -> Char.chr (((i * 131) + (i / 7)) land 0xff))
@@ -461,8 +501,9 @@ let test_streamed_blob_fault () =
 let test_client_reuse_and_stale () =
   Faults.reset ();
   Fun.protect ~finally:(fun () -> Faults.reset ()) @@ fun () ->
+  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~max_requests:3 repo in
+  let port, server = start_server ~backend ~max_requests:3 repo in
   let client = Client.connect ~host:"127.0.0.1" ~port () in
   (match Client.stats client with
   | Ok _ -> ()

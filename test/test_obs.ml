@@ -225,15 +225,7 @@ let test_chrome_export_and_summary () =
 (* ---- tracing: ring sizing, export shape, context, flight, logctx ---- *)
 
 let test_trace_ring_capacity () =
-  Alcotest.(check (result int string))
-    "valid value" (Ok 64)
-    (Trace.capacity_of_string "64");
-  Alcotest.(check bool) "non-integer rejected" true
-    (Result.is_error (Trace.capacity_of_string "abc"));
-  Alcotest.(check bool) "too small rejected" true
-    (Result.is_error (Trace.capacity_of_string "4"));
-  Alcotest.(check bool) "empty rejected" true
-    (Result.is_error (Trace.capacity_of_string ""));
+  Alcotest.(check int) "ring starts at 8192" 8192 (Trace.capacity ());
   let old = Trace.capacity () in
   Fun.protect ~finally:(fun () -> Trace.set_capacity old) @@ fun () ->
   Obs.with_enabled true @@ fun () ->
@@ -361,7 +353,12 @@ let test_context_traceparent_roundtrip () =
   Alcotest.(check (option string)) "sanitize keeps clean ids"
     (Some "req-1.a_B") (Ctx.sanitize_id " req-1.a_B ");
   Alcotest.(check (option string)) "sanitize drops header injection" None
-    (Ctx.sanitize_id "evil\r\nX-Other: 1")
+    (Ctx.sanitize_id "evil\r\nX-Other: 1");
+  (* head sampling: any 8 consecutive decisions sample exactly one *)
+  Alcotest.(check int) "sample interval" 8 Ctx.sample_interval;
+  Alcotest.(check int) "one in eight sampled" 1
+    (List.length (List.filter (fun c -> c.Ctx.sampled)
+       (List.init 8 (fun _ -> Ctx.make ()))))
 
 let test_flight_gate_independent () =
   Obs.with_enabled false @@ fun () ->

@@ -1,4 +1,6 @@
-(* HTTP framing and the client-server interface. *)
+(* The client-server interface: routing, the socket path and the
+   observability endpoints. Request framing is tested in
+   test_evserver.ml. *)
 
 open Versioning_store
 module Faults = Versioning_util.Faults
@@ -10,55 +12,7 @@ let temp_dir () =
 
 let ok = function Ok v -> v | Error e -> Alcotest.failf "error: %s" e
 
-(* ---- Http framing ---- *)
-
-let parse s =
-  let path = Filename.temp_file "req" ".txt" in
-  (* lint: raw-write-ok scratch request fixture read straight back;
-     durability is irrelevant *)
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc;
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () ->
-      close_in_noerr ic;
-      Sys.remove path)
-    (fun () -> Http.read_request ic)
-
-let test_http_parse_get () =
-  let req =
-    ok (parse "GET /checkout/3?x=1&msg=hello%20world HTTP/1.1\r\nHost: h\r\n\r\n")
-  in
-  Alcotest.(check string) "method" "GET" req.Http.meth;
-  Alcotest.(check string) "path" "/checkout/3" req.Http.path;
-  Alcotest.(check (option string)) "query decode" (Some "hello world")
-    (List.assoc_opt "msg" req.Http.query);
-  Alcotest.(check string) "body empty" "" req.Http.body
-
-let test_http_parse_post_body () =
-  let req =
-    ok
-      (parse
-         "POST /commit HTTP/1.1\r\nContent-Length: 11\r\nContent-Type: t\r\n\r\nhello\nworld")
-  in
-  Alcotest.(check string) "body" "hello\nworld" req.Http.body;
-  Alcotest.(check (option string)) "header lowered" (Some "t")
-    (List.assoc_opt "content-type" req.Http.headers)
-
-let test_http_malformed () =
-  List.iter
-    (fun s ->
-      match parse s with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted %S" s)
-    [
-      "";
-      "NOT-A-REQUEST\r\n\r\n";
-      "GET /x HTTP/1.1\r\nbadheader\r\n\r\n";
-      "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
-      "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
-    ]
+(* ---- percent decoding ---- *)
 
 let test_percent_decode () =
   (* in a path a plus is a plus; only query strings read '+' as space *)
@@ -985,15 +939,12 @@ let test_strategy_roundtrip () =
 
 let suite =
   [
-    Alcotest.test_case "http parse GET" `Quick test_http_parse_get;
     Alcotest.test_case "route /health" `Quick test_route_health;
     Alcotest.test_case "blob routes roundtrip" `Quick test_blob_routes_roundtrip;
     Alcotest.test_case "meta sync generation gate" `Quick
       test_meta_sync_generation_gate;
     Alcotest.test_case "anti-entropy needs cluster" `Quick
       test_anti_entropy_requires_cluster;
-    Alcotest.test_case "http parse POST" `Quick test_http_parse_post_body;
-    Alcotest.test_case "http malformed" `Quick test_http_malformed;
     Alcotest.test_case "percent decode" `Quick test_percent_decode;
     Alcotest.test_case "route /versions" `Quick test_route_versions;
     Alcotest.test_case "route /checkout" `Quick test_route_checkout;

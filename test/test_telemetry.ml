@@ -129,6 +129,101 @@ let test_env_int () =
     (Obs.env_int name ~min:0 ~default:7);
   Unix.putenv name ""
 
+(* The env readers as the CLI sees them, in a child [dsvc] whose
+   environment is exactly [env] plus PATH. Returns the exit code,
+   stdout and stderr. *)
+let run_dsvc ~env args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/dsvc.exe"
+  in
+  let out = Filename.temp_file "dsvc_out" "" in
+  let err = Filename.temp_file "dsvc_err" "" in
+  let open_w path =
+    (* lint: raw-write-ok throwaway capture of a child's stdout/stderr,
+       read straight back and deleted *)
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644
+  in
+  let fd_out = open_w out and fd_err = open_w err in
+  let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
+  let env = Array.of_list (("PATH=" ^ path) :: env) in
+  let pid =
+    Unix.create_process_env exe (Array.of_list (exe :: args)) env Unix.stdin
+      fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> c
+    | _ -> Alcotest.fail "dsvc died on a signal"
+  in
+  let slurp path =
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
+  in
+  (code, slurp out, slurp err)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let test_env_readers () =
+  (* a blank DSVC_OBS counts as unset, so DSVC_TRACE still traces *)
+  let dir = temp_dir () in
+  let repo = ok (Repo.init ~path:dir) in
+  ignore (ok (Repo.commit repo ~message:"a" "x\ny\n"));
+  ignore (ok (Repo.commit repo ~message:"b" "x\ny\nz\n"));
+  Repo.close repo;
+  let trace = Filename.concat dir "t.json" in
+  let code, _, _ =
+    run_dsvc
+      ~env:[ "DSVC_OBS="; "DSVC_TRACE=" ^ trace ]
+      [ "optimize"; "-C"; dir; "-s"; "min-storage" ]
+  in
+  Alcotest.(check int) "optimize exits 0" 0 code;
+  Alcotest.(check bool) "trace written" true (Sys.file_exists trace);
+  Alcotest.(check bool) "trace has spans" true
+    (contains
+       (In_channel.with_open_bin trace In_channel.input_all)
+       {|"ph":"X"|});
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  (* DSVC_JOBS goes through env_int: garbage or zero complains once and
+     runs 1 job; a large value is capped at 128 *)
+  let jobs_default value =
+    let code, out, err =
+      run_dsvc ~env:[ "DSVC_JOBS=" ^ value ] [ "optimize"; "--help=plain" ]
+    in
+    Alcotest.(check int) ("help exits 0 with DSVC_JOBS=" ^ value) 0 code;
+    let lines = List.filter (( <> ) "") (String.split_on_char '\n' err) in
+    let absent =
+      List.find_map
+        (fun n ->
+          if contains out (Printf.sprintf "--jobs=N (absent=%d)" n) then Some n
+          else None)
+        [ 1; 3; 128 ]
+    in
+    (lines, absent)
+  in
+  List.iter
+    (fun value ->
+      match jobs_default value with
+      | [ line ], Some 1 ->
+          Alcotest.(check bool) ("stderr names DSVC_JOBS for " ^ value) true
+            (contains line "DSVC_JOBS")
+      | lines, absent ->
+          Alcotest.failf "DSVC_JOBS=%s: %d stderr lines, default %s" value
+            (List.length lines)
+            (Option.fold ~none:"?" ~some:string_of_int absent))
+    [ "two"; "0" ];
+  Alcotest.(check (pair (list string) (option int))) "valid value" ([], Some 3)
+    (jobs_default "3");
+  Alcotest.(check (pair (list string) (option int))) "large value capped"
+    ([], Some 128) (jobs_default "500")
+
 (* ---- persistence through Repo ---- *)
 
 let test_persistence_across_sessions () =
@@ -318,6 +413,8 @@ let suite =
     Alcotest.test_case "hot ranking and eviction bound" `Quick
       test_hot_and_eviction;
     Alcotest.test_case "env_int validates DSVC_* knobs" `Quick test_env_int;
+    Alcotest.test_case "blank DSVC_OBS, garbage DSVC_JOBS" `Quick
+      test_env_readers;
     Alcotest.test_case "ledger persists and merges across sessions" `Quick
       test_persistence_across_sessions;
     Alcotest.test_case "injected fault at telemetry.save" `Quick

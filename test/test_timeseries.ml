@@ -329,6 +329,35 @@ let test_default_rules_scrape_up () =
   Alcotest.(check string) "recovery resolves it" "resolved"
     (state_of a "cluster_scrape_up")
 
+(* The stock windows and bounds are constants; pin them. *)
+let test_default_rules_values () =
+  let thresholds, burns =
+    List.partition_map
+      (function
+        | name, Alerts.Threshold r -> Left (name, (r.bound, r.hold, r.window))
+        | name, Alerts.Burn_rate r ->
+            Right (name, (r.short_window, r.long_window, r.objective, r.factor)))
+      (Alerts.default_rules ())
+  in
+  Alcotest.(check (list (pair string (triple (float 0.) (float 0.) (float 0.)))))
+    "thresholds: bound, hold, window"
+    [
+      ("checkout_p99", (2.0, 60.0, 0.0));
+      ("drift_score", (1.0, 60.0, 0.0));
+      ("cluster_scrape_up", (1.0, 0.0, 0.0));
+    ]
+    thresholds;
+  List.iter
+    (fun (name, (short, long, objective, factor)) ->
+      Alcotest.(check (float 0.)) (name ^ " short window") 300.0 short;
+      Alcotest.(check (float 0.)) (name ^ " long window") 3600.0 long;
+      Alcotest.(check (float 0.)) (name ^ " objective") 0.99 objective;
+      Alcotest.(check (float 0.)) (name ^ " factor") 2.0 factor)
+    burns;
+  Alcotest.(check (list string)) "burn-rate rules"
+    [ "quorum_write_burn"; "scrape_up_burn" ]
+    (List.map fst burns)
+
 (* ---- the sampler over a private registry ---- *)
 
 let test_sampler_derives_slis () =
@@ -495,6 +524,8 @@ let suite =
       test_suppression_annotates;
     Alcotest.test_case "stock scrape-up rule round-trips an outage" `Quick
       test_default_rules_scrape_up;
+    Alcotest.test_case "default rules keep their windows and bounds" `Quick
+      test_default_rules_values;
     Alcotest.test_case "sampler derives the SLI series" `Quick
       test_sampler_derives_slis;
     Alcotest.test_case "sampler p99 reads the histogram diff" `Quick
