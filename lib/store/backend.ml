@@ -11,6 +11,7 @@ type t = {
   total_bytes : unit -> int;
   quarantine : digest:string -> (string, string) result;
   ping : unit -> (unit, string) result;
+  batch : 'a. (unit -> ('a, string) result) -> ('a, string) result;
 }
 
 let ( let* ) = Result.bind
@@ -39,33 +40,104 @@ let unframe framed =
         with Invalid_argument e -> Error ("corrupt compressed object: " ^ e))
     | _ -> Error "unknown object framing"
 
+(* ---- group commit ----
+
+   Both staging backends share one protocol: the body's puts are
+   staged; a body that returns [Ok] having staged something consults
+   the ["object_store.sync"] site once, then [publish]es; an [Error]
+   or an exception [discard]s the staging. An injected crash
+   ([Faults.Injected]) is the process dying: [abandon] forgets the
+   staging without cleaning up, as a real crash would. A batch opened
+   inside a batch joins it. *)
+
+let sync_site = "object_store.sync"
+
+let sync_fault () =
+  match Faults.check sync_site with
+  | None | Some (Faults.Corrupt _) -> Ok ()
+  | Some (Faults.Fail msg) -> Error msg
+  | Some (Faults.Crash | Faults.Torn _ | Faults.Drop) -> Faults.crash sync_site
+
+let group_commit ~is_empty ~publish ~discard ~abandon body =
+  match
+    let* r = body () in
+    if is_empty () then Ok r
+    else
+      let* () = sync_fault () in
+      let* () = publish () in
+      Ok r
+  with
+  | Ok _ as r -> r
+  | Error _ as e ->
+      discard ();
+      e
+  | exception (Faults.Injected _ as exn) ->
+      abandon ();
+      raise exn
+  | exception exn ->
+      discard ();
+      raise exn
+
+let unbatched body = body ()
+
 (* Local filesystem: two-character fan-out like Git. *)
 
 let fs_path ~dir digest =
   Filename.concat dir
     (Filename.concat (String.sub digest 0 2) (String.sub digest 2 30))
 
-let fs ~dir =
+let fs_using sync ~dir =
   let* () = Fsutil.mkdir_p dir in
   let path_of digest = fs_path ~dir digest in
   let quarantine_dir = Filename.concat dir "quarantine" in
-  let put ~digest content =
+  (* The open batch, if any: puts stage into it, and [mem]/[get] see
+     its staged digests. *)
+  let current = ref None in
+  let staged path = Option.bind !current (fun b -> Fsutil.staged b path) in
+  let mem ~digest =
     let path = path_of digest in
-    if Sys.file_exists path then Ok ()
+    Sys.file_exists path || staged path <> None
+  in
+  let put ~digest content =
+    if mem ~digest then Ok ()
     else
-      Fsutil.write_file_atomic ~site:"object_store.write" path (frame content)
+      let path = path_of digest and site = "object_store.write" in
+      match !current with
+      | Some b -> Fsutil.stage b ~site path (frame content)
+      | None -> Fsutil.write_file_atomic ~site path (frame content)
   in
   let get ~digest =
     let path = path_of digest in
-    if Sys.file_exists path then
-      let* framed = Fsutil.read_file path in
+    let read p =
+      let* framed = Fsutil.read_file p in
       unframe framed
-    else Error (Printf.sprintf "object %s not found" digest)
+    in
+    if Sys.file_exists path then read path
+    else
+      match staged path with
+      | Some tmp -> read tmp
+      | None -> Error (Printf.sprintf "object %s not found" digest)
   in
-  let mem ~digest = Sys.file_exists (path_of digest) in
   let delete ~digest =
-    if mem ~digest then
-      try Sys.remove (path_of digest) with Sys_error _ -> ()
+    let path = path_of digest in
+    Option.iter (fun b -> Fsutil.unstage b path) !current;
+    if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ()
+  in
+  let batch body =
+    match !current with
+    | Some _ -> body ()
+    | None ->
+        let b = Fsutil.batch ~sync dir in
+        current := Some b;
+        Fun.protect
+          ~finally:(fun () -> current := None)
+          (fun () ->
+            group_commit
+              ~is_empty:(fun () -> Fsutil.is_empty b)
+              ~publish:(fun () -> Fsutil.publish b)
+              ~discard:(fun () -> Fsutil.abort b)
+              ~abandon:(fun () -> Fsutil.abandon b)
+              body)
   in
   let list () =
     if not (Sys.file_exists dir) then []
@@ -114,32 +186,66 @@ let fs ~dir =
       total_bytes;
       quarantine;
       ping;
+      batch;
     }
 
+let fs ~dir = fs_using (Fsutil.default_sync ()) ~dir
+
 (* In-memory: a hashtable of framed blobs. Consults the same
-   ["object_store.write"] fault site as the filesystem backend so the
+   ["object_store.write"] and ["object_store.sync"] fault sites as the
+   filesystem backend, and stages a batch's puts the same way, so the
    QCheck equivalence property can exercise both under identical
    injected failures. *)
 
 let memory () =
   let blobs : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let quarantined : (string, string) Hashtbl.t = Hashtbl.create 4 in
+  let staging : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  let in_batch = ref false in
+  let find digest =
+    match Hashtbl.find_opt blobs digest with
+    | Some _ as found -> found
+    | None -> Hashtbl.find_opt staging digest
+  in
   let put ~digest content =
-    if Hashtbl.mem blobs digest then Ok ()
+    if find digest <> None then Ok ()
     else
       match Faults.on_write "object_store.write" (frame content) with
       | `Fail (_, msg) -> Error msg
+      | `Write (_, true) when !in_batch ->
+          (* a torn staged write never becomes addressable *)
+          Faults.crash "object_store.write"
       | `Write (framed, crash) ->
-          Hashtbl.replace blobs digest framed;
+          Hashtbl.replace (if !in_batch then staging else blobs) digest framed;
           if crash then Faults.crash "object_store.write" else Ok ()
   in
   let get ~digest =
-    match Hashtbl.find_opt blobs digest with
+    match find digest with
     | Some framed -> unframe framed
     | None -> Error (Printf.sprintf "object %s not found" digest)
   in
-  let mem ~digest = Hashtbl.mem blobs digest in
-  let delete ~digest = Hashtbl.remove blobs digest in
+  let mem ~digest = find digest <> None in
+  let delete ~digest =
+    Hashtbl.remove staging digest;
+    Hashtbl.remove blobs digest
+  in
+  let batch body =
+    if !in_batch then body ()
+    else begin
+      in_batch := true;
+      let drop () = Hashtbl.reset staging in
+      Fun.protect
+        ~finally:(fun () -> in_batch := false)
+        (fun () ->
+          group_commit
+            ~is_empty:(fun () -> Hashtbl.length staging = 0)
+            ~publish:(fun () ->
+              Hashtbl.iter (Hashtbl.replace blobs) staging;
+              drop ();
+              Ok ())
+            ~discard:drop ~abandon:drop body)
+    end
+  in
   let list () =
     Hashtbl.fold (fun d framed acc -> (d, String.length framed) :: acc) blobs []
     |> List.sort compare
@@ -166,4 +272,5 @@ let memory () =
     total_bytes;
     quarantine;
     ping;
+    batch;
   }

@@ -530,4 +530,5 @@ let backend t =
         List.fold_left (fun acc (_, s) -> acc + s) 0 (list_blobs t));
     quarantine = (fun ~digest -> quarantine_blob t digest);
     ping = (fun () -> ping t);
+    batch = Backend.unbatched;
   }

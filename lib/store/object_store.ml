@@ -5,6 +5,7 @@ type t = { backend : Backend.t; fs_dir : string option }
 let ( let* ) = Result.bind
 
 module Metrics = Versioning_obs.Metrics
+module Fsutil = Versioning_util.Fsutil
 
 (* Observability only: latencies, byte volumes and verification
    outcomes. No-ops while DSVC_OBS is off; values never influence
@@ -26,24 +27,35 @@ let record_stream ~bytes =
   Metrics.counter "dsvc_store_stream_bytes_total" ~by:(float_of_int bytes)
     ~help:"Logical bytes served chunk-wise by Object_store.get_stream"
 
-let create ~dir =
-  let* backend = Backend.fs ~dir in
+let create_using sync ~dir =
+  let* backend = Backend.fs_using sync ~dir in
   Ok { backend; fs_dir = Some dir }
+
+let create ~dir = create_using (Fsutil.default_sync ()) ~dir
 
 let of_backend backend = { backend; fs_dir = None }
 let memory () = of_backend (Backend.memory ())
 let backend t = t.backend
 
-let put t content =
+let put ?(stray = fun _ -> false) t content =
   Metrics.time "dsvc_store_put_seconds"
     ~help:"Object_store.put latency (including the no-op dedup path)"
   @@ fun () ->
   let digest = Content_hash.hex content in
-  if t.backend.Backend.mem ~digest then Ok digest
-  else
+  let present = t.backend.Backend.mem ~digest in
+  (* Only a plain filesystem store is this process's alone: elsewhere
+     an unreferenced copy may be another writer's, and deleting it
+     could lose a write that writer acknowledged. *)
+  if present && not (t.fs_dir <> None && stray digest) then Ok digest
+  else begin
+    (* A stray may be a crash's torn leftover: replace it unread. *)
+    if present then t.backend.Backend.delete ~digest;
     let* () = t.backend.Backend.put ~digest content in
     record_put ~bytes:(String.length content);
     Ok digest
+  end
+
+let batch t body = t.backend.Backend.batch body
 
 let get t digest =
   Metrics.time "dsvc_store_get_seconds" ~help:"Object_store.get latency"
@@ -211,4 +223,10 @@ let path_of t digest =
       Printf.sprintf "<%s>/%s" t.backend.Backend.name digest
 
 let list_digests t = List.map fst (t.backend.Backend.list ())
+
+let remove_stale_temps t =
+  match t.fs_dir with
+  | Some dir -> Fsutil.remove_stale_temps dir
+  | None -> 0
+
 let total_bytes t = t.backend.Backend.total_bytes ()

@@ -415,4 +415,5 @@ let backend t =
     total_bytes = (fun () -> total_bytes t);
     quarantine = (fun ~digest -> quarantine t ~digest);
     ping = (fun () -> Ok ());
+    batch = Backend.unbatched;
   }

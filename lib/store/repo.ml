@@ -539,18 +539,27 @@ let read_journal t =
 
 (* ---- garbage collection ---- *)
 
+let stored_digest = function Full d | Delta_from (_, d) -> d
+
+let references stored digest =
+  IM.exists (fun _ s -> String.equal (stored_digest s) digest) stored
+
 let referenced_digests t =
-  IM.fold
-    (fun _ s acc ->
-      match s with Full d -> d :: acc | Delta_from (_, d) -> d :: acc)
-    t.meta.stored []
+  IM.fold (fun _ s acc -> stored_digest s :: acc) t.meta.stored []
 
 module SS = Set.Make (String)
 
-(* Remove blobs referenced by no version. Refuses to run while an
-   optimize journal is pending, since the journal's maps may still
-   reference them. *)
+(* Stale temp files (a crashed write or an unpublished batch) are
+   never referenced, so they go first, journal or not. *)
+let remove_stale_temps t =
+  let n = Object_store.remove_stale_temps t.store in
+  if n > 0 then Log.info (fun m -> m "gc: removed %d stale temp file(s)" n)
+
+(* Remove stale temps, then blobs referenced by no version. Deletes no
+   blob while an optimize journal is pending, since the journal's maps
+   may still reference them. *)
 let gc t =
+  remove_stale_temps t;
   if Sys.file_exists (journal_file t.root) then 0
   else
     let live = SS.of_list (referenced_digests t) in
@@ -701,17 +710,32 @@ let branches t = List.filter (fun (_, v) -> v <> 0) t.meta.branches
 let log t = t.meta.commits
 let commit_info t id = List.find_opt (fun c -> c.id = id) t.meta.commits
 
-let store_full t content =
-  let* digest = Object_store.put t.store content in
+(* [put] inside a write that builds the stored map [building] on top
+   of the live one. An object already at a digest that neither map
+   references is a stray — what [gc] would delete, perhaps a crash's
+   torn write — so it is rewritten rather than trusted. Like [gc],
+   trust everything while a journal is pending: its maps may reference
+   it. *)
+let put_object t ~building content =
+  Object_store.put t.store content ~stray:(fun digest ->
+      (not (references t.meta.stored digest))
+      && (not (references building digest))
+      && not (journal_pending t))
+
+let store_full t ~building content =
+  let* digest = put_object t ~building content in
   Ok (Full digest)
 
 (* Each entry's objects are written first and its version added to a
    metadata value built on the side — later entries chain onto earlier
    ones through it. A parent from earlier in the batch is diffed
    against its entry's content, already in memory; only a parent from
-   before the batch is rebuilt from the store. The batch is installed
-   by the one [save] at the end, so a failure anywhere leaves the
-   handle as it was. *)
+   before the batch is rebuilt from the store. More than one entry
+   group-commits its objects ([Object_store.batch]: two syncs in all);
+   a single one ([commit]) writes through the per-object atomic path.
+   The batch is installed by the one [save] at the end, after its
+   objects are durable, so a failure anywhere leaves the handle as it
+   was. *)
 let import_versions t entries =
   let add (m : Meta.t) batch (message, parents, content) =
     let* () =
@@ -721,7 +745,7 @@ let import_versions t entries =
     in
     let* stored =
       match parents with
-      | [] -> store_full t content
+      | [] -> store_full t ~building:m.stored content
       | p :: _ ->
           let* parent_content =
             match IM.find_opt p batch with
@@ -732,9 +756,9 @@ let import_versions t entries =
             Line_diff.encode (Line_diff.diff parent_content content)
           in
           if String.length encoded < String.length content then
-            let* digest = Object_store.put t.store encoded in
+            let* digest = put_object t ~building:m.stored encoded in
             Ok (Delta_from (p, digest))
-          else store_full t content
+          else store_full t ~building:m.stored content
     in
     let id = m.next_id in
     Ok
@@ -749,15 +773,20 @@ let import_versions t entries =
       }
   in
   let rec go m batch ids = function
-    | [] ->
-        let* () = save t m in
-        Ok (List.rev ids)
+    | [] -> Ok (m, List.rev ids)
     | ((_, _, content) as entry) :: rest ->
         let* m = add m batch entry in
         let id = m.next_id - 1 in
         go m (IM.add id content batch) (id :: ids) rest
   in
-  go t.meta IM.empty [] entries
+  let write () = go t.meta IM.empty [] entries in
+  let* m, ids =
+    match entries with
+    | [] | [ _ ] -> write ()
+    | _ -> Object_store.batch t.store write
+  in
+  let* () = save t m in
+  Ok ids
 
 let commit t ?(message = "") ?parents content =
   let parents =
@@ -824,7 +853,7 @@ let verify t =
   let get = read_once t in
   IM.iter
     (fun v s ->
-      let digest = match s with Full d | Delta_from (_, d) -> d in
+      let digest = stored_digest s in
       match get digest with
       | Error e -> note "version %d: object unreadable (%s)" v e
       | Ok _ -> ())
@@ -1091,16 +1120,19 @@ let reveal_graph t ?(max_hops = 3) ?(extra_pairs = [])
 
 (* [optimize] is crash-safe via a two-phase protocol:
 
-   1. write every new object (the old ones are untouched);
+   1. write every new object (the old ones are untouched), as one
+      group commit: staged unsynced, synced once, renamed, synced
+      again;
    2. journal both the old and the intended stored maps, fsynced;
    3. atomically swap the metadata to the new map;
    4. verify every version reconstructs under the new map;
    5. only then delete the journal and garbage-collect.
 
    A crash at any point leaves the repository recoverable: before the
-   journal, the old metadata is intact and the new objects are strays;
-   after it, [recover_journal] (run by [open_repo]) rolls forward or
-   back; and the GC never runs while a journal is pending. *)
+   journal, the old metadata is intact and the new objects are strays
+   or unpublished temp files, both of which [gc] removes; after it,
+   [recover_journal] (run by [open_repo]) rolls forward or back; and
+   the GC never deletes an object while a journal is pending. *)
 let strategy_name = function
   | Min_storage -> "min_storage"
   | Min_recreation -> "min_recreation"
@@ -1194,7 +1226,9 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
     in
     (* Phase 1: write the new objects, building the intended map on
        the side — the live map (memory and disk) is untouched, so an
-       error or crash here costs only stray blobs. Only entries whose
+       error or crash here costs only stray blobs or temp files. The
+       writes are one [Object_store.batch]: the journal below is
+       written only after they are all durable. Only entries whose
        storage parent changes are rewritten (the migration-plan
        discipline): unchanged versions keep their existing objects.
        The payloads (full contents, or encoded diffs from the reveal's
@@ -1224,12 +1258,12 @@ let optimize t ?(max_hops = 3) ?(jobs = Pool.default_jobs ())
         if i = Array.length changed then Ok stored
         else
           let p, v = changed.(i) in
-          let* digest = Object_store.put t.store payloads.(i) in
+          let* digest = put_object t ~building:stored payloads.(i) in
           put (i + 1)
             (IM.add v (if p = 0 then Full digest else Delta_from (p, digest))
                stored)
       in
-      put 0 old_stored
+      Object_store.batch t.store (fun () -> put 0 old_stored)
     in
     Faults.guard "optimize.after_objects";
     (* Phase 2: journal both maps. *)
@@ -1454,7 +1488,10 @@ let repair t =
       remove_journal t;
       gc t
     end
-    else 0
+    else begin
+      remove_stale_temps t;
+      0
+    end
   in
   let count_outcome outcome n =
     if n > 0 then

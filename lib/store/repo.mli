@@ -21,7 +21,8 @@
     hardlink of the previous generation, and end with a trailer line
     so a torn write is detected as corruption rather than silently
     loading a prefix. {!optimize} runs a two-phase protocol (write
-    objects → journal old+new plans → swap metadata → verify → GC);
+    objects as one group commit → journal old+new plans → swap
+    metadata → verify → GC);
     a crash at any point is rolled forward or back by [open_repo],
     and {!repair} / {!fsck} recover from damage beyond that. *)
 
@@ -214,7 +215,9 @@ val import_versions :
     Saves metadata once at the end, so large imports don't rewrite the
     meta file per version. A parent from the same batch is diffed
     against its entry's content without reading the store; the objects
-    written are the ones committing the entries one at a time writes. *)
+    written are the ones committing the entries one at a time writes.
+    With more than one entry they are group-committed
+    ({!Object_store.batch}: two syncs in all) before the save. *)
 
 (* -- storage management -- *)
 
@@ -269,8 +272,9 @@ val optimize :
     storage plan is byte-identical for every value — object writes and
     fault-injection sites stay sequential in plan order.
 
-    Crash-safe: new objects are written first (old ones untouched),
-    then both the old and intended storage maps are journaled, then
+    Crash-safe: new objects are written first (old ones untouched) and
+    made durable by one group commit, then both the old and intended
+    storage maps are journaled, then
     the metadata is atomically swapped, then every version is
     verified to reconstruct — only after all of that are the journal
     and unreferenced blobs removed. A crash in between is recovered
@@ -382,7 +386,8 @@ val repair : t -> (repair_report, string) result
     edges — across the current storage map {e and} any pending
     optimize journal's old/new maps — and re-materialize broken
     versions as full objects. Unreferenced blobs are only collected
-    when every version was recovered. *)
+    when every version was recovered; stale [.write*.tmp] files left
+    by a crashed write are always removed. *)
 
 type fsck_result = {
   actions : string list;  (** what repair did (empty without [~repair:true]) *)

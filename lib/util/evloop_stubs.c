@@ -14,7 +14,14 @@
    Event bits shared with evloop.ml: 1 = readable, 2 = writable.
    Error/hangup conditions are folded into "readable" so the OCaml
    callback performs a read, observes EOF/ECONNRESET, and tears the
-   connection down through its normal path. */
+   connection down through its normal path.
+
+   One storage stub rides along: syncfs(2), the single flush behind
+   Fsutil's group commit (DESIGN.md section 7). */
+
+#if defined(__linux__) && !defined(_GNU_SOURCE)
+#define _GNU_SOURCE /* syncfs */
+#endif
 
 #include <errno.h>
 #include <limits.h>
@@ -209,4 +216,32 @@ CAMLprim value dsvc_writev(value v_fd, value v_slices)
     caml_uerror("writev", Nothing);
   }
   return Val_long(written);
+}
+
+CAMLprim value dsvc_has_syncfs(value unit)
+{
+  (void)unit;
+#ifdef __linux__
+  return Val_true;
+#else
+  return Val_false;
+#endif
+}
+
+/* Flush every dirty page and inode of the filesystem holding [fd].
+   Raises Unix_error on failure; callers check dsvc_has_syncfs first. */
+CAMLprim value dsvc_syncfs(value v_fd)
+{
+#ifdef __linux__
+  int r;
+  int fd = Int_val(v_fd);
+  caml_release_runtime_system();
+  r = syncfs(fd);
+  caml_acquire_runtime_system();
+  if (r == -1) caml_uerror("syncfs", Nothing);
+#else
+  (void)v_fd;
+  caml_unix_error(ENOSYS, "syncfs", Nothing);
+#endif
+  return Val_unit;
 }

@@ -14,7 +14,10 @@
     builds.
 
     Well-known sites:
-    - ["object_store.write"] — blob writes
+    - ["object_store.write"] — blob writes (staged ones included)
+    - ["object_store.sync"] — once per non-empty batch of blob writes,
+      before its first sync ([Fail] fails the batch, [Crash] dies
+      with its writes still unpublished temp files)
     - ["repo.save"] — metadata writes
     - ["repo.journal"] — the optimize journal write
     - ["optimize.after_objects"], ["optimize.after_journal"],

@@ -100,13 +100,18 @@ let qcheck_fs_memory_equivalent =
 (* Both backends consult the ["object_store.write"] site only for a
    new digest (idempotent puts short-circuit), so arming the same
    fault before the same sequence must fail the same op and leave the
-   same surviving state. *)
+   same surviving state. Inside a batch both also stage their puts and
+   consult ["object_store.sync"] once before publishing, so a fault
+   there, or a crash mid-batch, must leave the same state too. *)
 let fault_cases =
   [
-    ("fail first write", Faults.Fail "disk full", 0);
-    ("fail third write", Faults.Fail "disk full", 2);
-    ("corrupt first write", Faults.Corrupt 1, 0);
-    ("corrupt second write", Faults.Corrupt 5, 1);
+    ("fail first write", "object_store.write", Faults.Fail "disk full", 0);
+    ("fail third write", "object_store.write", Faults.Fail "disk full", 2);
+    ("corrupt first write", "object_store.write", Faults.Corrupt 1, 0);
+    ("corrupt second write", "object_store.write", Faults.Corrupt 5, 1);
+    ("torn second write", "object_store.write", Faults.Torn 0.5, 1);
+    ("fail the sync", "object_store.sync", Faults.Fail "sync failed", 0);
+    ("crash at the sync", "object_store.sync", Faults.Crash, 0);
   ]
 
 let fault_ops =
@@ -123,23 +128,44 @@ let fault_ops =
     Mem contents.(4);
   ]
 
+(* The ops one by one, or as one batch; an injected crash ends the
+   sequence, as it would end the process. *)
+let run_faulted ~batched b =
+  let ops () = List.map (apply b) fault_ops in
+  let outcome =
+    match
+      if batched then
+        match b.Backend.batch (fun () -> Ok (ops ())) with
+        | Ok seen -> "ok:" ^ String.concat "," seen
+        | Error _ -> "error"
+      else "ok:" ^ String.concat "," (ops ())
+    with
+    | s -> s
+    | exception Faults.Injected _ -> "crashed"
+  in
+  (outcome, final_state b)
+
 let test_fault_equivalence () =
   List.iter
-    (fun (label, action, after) ->
-      let run b =
-        Faults.reset ();
-        Faults.arm ~site:"object_store.write" ~after action;
-        let r = run_sequence b fault_ops in
-        Faults.reset ();
-        r
-      in
-      let from_fs = with_fs_backend run in
-      let from_mem = run (Backend.memory ()) in
-      Alcotest.(check bool)
-        (label ^ ": identical observable behaviour")
-        true
-        (from_fs = from_mem))
-    fault_cases
+    (fun batched ->
+      List.iter
+        (fun (label, site, action, after) ->
+          let label = (if batched then "batched, " else "") ^ label in
+          let run b =
+            Faults.reset ();
+            Faults.arm ~site ~after action;
+            let r = run_faulted ~batched b in
+            Faults.reset ();
+            r
+          in
+          let from_fs = with_fs_backend run in
+          let from_mem = run (Backend.memory ()) in
+          Alcotest.(check bool)
+            (label ^ ": identical observable behaviour")
+            true
+            (from_fs = from_mem))
+        fault_cases)
+    [ false; true ]
 
 (* ---- the remote backend against a live peer ---- *)
 

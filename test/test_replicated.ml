@@ -26,6 +26,7 @@ let flaky name =
       total_bytes = (fun () -> if !down then 0 else inner.Backend.total_bytes ());
       quarantine = (fun ~digest -> guard (fun () -> inner.Backend.quarantine ~digest));
       ping = (fun () -> guard (fun () -> inner.Backend.ping ()));
+      batch = Backend.unbatched;
     }
   in
   (b, down, inner)
