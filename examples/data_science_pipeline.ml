@@ -13,10 +13,16 @@ open Versioning_workload
 
 let ok = function Ok v -> v | Error e -> failwith e
 
-let () =
-  let dir = Filename.temp_file "dsvc_pipeline" "" in
-  Sys.remove dir;
-  let repo = ok (Repo.init ~path:dir) in
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Builds the shared history, re-plans it four ways, and says whether
+   every version still checks out. *)
+let run repo =
   let rng = Prng.create ~seed:2025 in
   let tg = Table_gen.create rng in
 
@@ -96,4 +102,18 @@ let () =
   in
   Printf.printf "\nall %d versions retrievable: %b\n"
     (List.length (Repo.log repo))
-    everything_ok
+    everything_ok;
+  everything_ok
+
+let () =
+  let dir = Filename.temp_file "dsvc_pipeline" "" in
+  Sys.remove dir;
+  let repo = ok (Repo.init ~path:dir) in
+  let all_ok =
+    Fun.protect
+      ~finally:(fun () ->
+        Repo.close repo;
+        remove_tree dir)
+      (fun () -> run repo)
+  in
+  if not all_ok then exit 1

@@ -125,8 +125,3 @@ let check g sg =
   | [], Some r -> Ok r
   | [], None -> Error [ "internal: verification did not complete" ]
   | es, _ -> Error (List.rev es)
-
-let check_exn g sg =
-  match check g sg with
-  | Ok _ -> ()
-  | Error es -> failwith ("invalid storage solution:\n" ^ String.concat "\n" es)

@@ -32,7 +32,3 @@ val check :
   Aux_graph.t -> Storage_graph.t -> (report, string list) result
 (** [check g sg] verifies [sg] against [g] and returns the recomputed
     totals, or every violation found (never an empty error list). *)
-
-val check_exn : Aux_graph.t -> Storage_graph.t -> unit
-(** Like {!check} but raises [Failure] with the violations joined by
-    newlines — the form used by the test suite and the CLI. *)

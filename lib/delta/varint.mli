@@ -1,5 +1,5 @@
-(** LEB128 variable-length integers — the shared wire primitive of the
-    delta codecs ({!Compress}, {!Binary_diff}). *)
+(** LEB128 variable-length integers — the wire primitive of
+    {!Compress}'s codecs. *)
 
 val add : Buffer.t -> int -> unit
 (** Append the encoding of a non-negative integer. *)

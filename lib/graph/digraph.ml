@@ -74,14 +74,6 @@ let in_edges g v =
   check_vertex g v "in_edges";
   bucket_to_list g.inc.(v)
 
-let out_degree g v =
-  check_vertex g v "out_degree";
-  g.out.(v).len
-
-let in_degree g v =
-  check_vertex g v "in_degree";
-  g.inc.(v).len
-
 let iter_edges g f =
   for v = 0 to g.n - 1 do
     iter_bucket g.out.(v) f
@@ -93,16 +85,6 @@ let fold_edges g ~init ~f =
   !acc
 
 let edges g = List.rev (fold_edges g ~init:[] ~f:(fun acc e -> e :: acc))
-
-let map g ~f =
-  let g' = create ~n:g.n in
-  iter_edges g (fun e -> add_edge g' ~src:e.src ~dst:e.dst (f e));
-  g'
-
-let reverse g =
-  let g' = create ~n:g.n in
-  iter_edges g (fun e -> add_edge g' ~src:e.dst ~dst:e.src e.label);
-  g'
 
 (* Both buckets hold the edges in insertion order, so scanning the
    shorter one still finds the first inserted [src -> dst] edge. *)
@@ -119,66 +101,3 @@ let find_edge g ~src ~dst =
       if e.src = src && e.dst = dst then Some e else go (i + 1)
   in
   go 0
-
-let topological_order g =
-  (* Kahn's algorithm; smallest-id-first for a deterministic order. *)
-  let indeg = Array.init g.n (fun v -> g.inc.(v).len) in
-  let heap = Versioning_util.Binary_heap.create ~capacity:g.n in
-  for v = 0 to g.n - 1 do
-    if indeg.(v) = 0 then Versioning_util.Binary_heap.insert heap v 0.0
-  done;
-  let order = ref [] in
-  let seen = ref 0 in
-  while not (Versioning_util.Binary_heap.is_empty heap) do
-    let v, _ = Versioning_util.Binary_heap.pop_min heap in
-    order := v :: !order;
-    incr seen;
-    iter_bucket g.out.(v) (fun e ->
-        indeg.(e.dst) <- indeg.(e.dst) - 1;
-        if indeg.(e.dst) = 0 then
-          Versioning_util.Binary_heap.insert heap e.dst 0.0)
-  done;
-  if !seen = g.n then Some (List.rev !order) else None
-
-let is_dag g = topological_order g <> None
-
-let dfs_mark buckets n start =
-  let mark = Array.make n false in
-  let stack = ref [ start ] in
-  mark.(start) <- true;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-        stack := rest;
-        iter_bucket buckets.(v) (fun e ->
-            let w = if e.src = v then e.dst else e.src in
-            if not mark.(w) then begin
-              mark.(w) <- true;
-              stack := w :: !stack
-            end)
-  done;
-  mark
-
-let reachable_from g v =
-  check_vertex g v "reachable_from";
-  dfs_mark g.out g.n v
-
-let transpose_reachable g v =
-  check_vertex g v "transpose_reachable";
-  (* Follow in-edges backwards: from each in-edge of the frontier. *)
-  let mark = Array.make g.n false in
-  let stack = ref [ v ] in
-  mark.(v) <- true;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | w :: rest ->
-        stack := rest;
-        iter_bucket g.inc.(w) (fun e ->
-            if not mark.(e.src) then begin
-              mark.(e.src) <- true;
-              stack := e.src :: !stack
-            end)
-  done;
-  mark

@@ -27,9 +27,6 @@ val out_edges : 'a t -> int -> 'a edge list
 val in_edges : 'a t -> int -> 'a edge list
 (** Edges entering a vertex, in insertion order. *)
 
-val out_degree : 'a t -> int -> int
-val in_degree : 'a t -> int -> int
-
 val iter_out : 'a t -> int -> ('a edge -> unit) -> unit
 (** Allocation-light iteration over out-edges. *)
 
@@ -43,28 +40,8 @@ val fold_edges : 'a t -> init:'b -> f:('b -> 'a edge -> 'b) -> 'b
 val edges : 'a t -> 'a edge list
 (** All edges as a list (grouped by source). *)
 
-val map : 'a t -> f:('a edge -> 'b) -> 'b t
-(** Same structure, relabelled edges. *)
-
-val reverse : 'a t -> 'a t
-(** Graph with every edge flipped. *)
-
 val find_edge : 'a t -> src:int -> dst:int -> 'a edge option
 (** First inserted edge [src -> dst], if any; [None] for an
     out-of-range [dst]. Scans the shorter of [src]'s out-edges and
     [dst]'s in-edges: O(min(out-degree, in-degree)).
     @raise Invalid_argument on an out-of-range [src]. *)
-
-val is_dag : 'a t -> bool
-(** True iff the graph has no directed cycle (Kahn's algorithm). *)
-
-val topological_order : 'a t -> int list option
-(** A topological order of the vertices, or [None] on a cyclic
-    graph. *)
-
-val reachable_from : 'a t -> int -> bool array
-(** [reachable_from g v] marks every vertex reachable from [v]
-    (including [v]) following edge direction; DFS, O(V+E). *)
-
-val transpose_reachable : 'a t -> int -> bool array
-(** Vertices from which [v] is reachable. *)

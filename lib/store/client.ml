@@ -216,8 +216,10 @@ let attempt t ~ctx ~meth ~path ~query ~body =
                     String.trim (String.sub l (i + 1) (String.length l - i - 1))
                   in
                   match name with
-                  | "content-length" ->
-                      content_length := int_of_string_opt value
+                  | "content-length" -> (
+                      match Http.parse_content_length value with
+                      | Some len -> content_length := Some len
+                      | None -> failwith ("bad content-length: " ^ value))
                   | "connection" ->
                       if String.lowercase_ascii value = "close" then
                         server_closes := true

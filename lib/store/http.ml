@@ -157,6 +157,14 @@ let split_target target =
       )
   | None -> (target, [])
 
+(* RFC 9110 §8.6: Content-Length = 1*DIGIT. [int_of_string_opt] alone
+   would also take a sign, [_] separators and 0x/0o/0b prefixes. *)
+let parse_content_length v =
+  let v = String.trim v in
+  if v <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) v
+  then int_of_string_opt v
+  else None
+
 (* Request-smuggling hygiene: a request whose framing is ambiguous is
    rejected outright. More than one Content-Length header — or one
    header carrying a list — never has an innocent explanation
@@ -173,10 +181,10 @@ let body_length_of_headers ~max_body headers =
       if String.contains v ',' then
         Error (400, "conflicting content-length values")
       else
-        match int_of_string_opt (String.trim v) with
-        | Some len when len >= 0 ->
+        match parse_content_length v with
+        | Some len ->
             if len <= max_body then Ok len else Error (413, "body too large")
-        | Some _ | None -> Error (400, "bad content-length"))
+        | None -> Error (400, "bad content-length"))
   | _ :: _ -> Error (400, "duplicate content-length header")
 
 let keep_alive (req : request) =

@@ -75,6 +75,11 @@ val parse_query : string -> (string * string) list
 
 val status_text : int -> string
 
+val parse_content_length : string -> int option
+(** A Content-Length value: [Some n] only for decimal digits (RFC 9110
+    [1*DIGIT], surrounding whitespace ignored) that fit an [int]. Signs,
+    [_] separators and [0x]/[0o]/[0b] prefixes are [None]. *)
+
 (** Incremental request parser — the per-connection state machine of
     the event loop. Feed raw bytes as they arrive; pull complete
     requests out. Bounded: the header block by [max_header_bytes]

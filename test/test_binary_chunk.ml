@@ -1,6 +1,5 @@
-(* Binary_diff, Chunker, Varint. *)
+(* Chunker, Varint. *)
 
-module Binary_diff = Versioning_delta.Binary_diff
 module Chunker = Versioning_delta.Chunker
 module Varint = Versioning_delta.Varint
 module Prng = Versioning_util.Prng
@@ -25,90 +24,9 @@ let test_varint_errors () =
   Alcotest.check_raises "truncated" (Invalid_argument "Varint.read: truncated")
     (fun () -> ignore (Varint.read "\x80" 0))
 
-(* ---- Binary_diff ---- *)
+(* ---- Chunker ---- *)
 
 let rand_bytes rng n = String.init n (fun _ -> Char.chr (Prng.int rng 256))
-
-let test_bindiff_identical () =
-  let rng = Prng.create ~seed:151 in
-  let doc = rand_bytes rng 1000 in
-  let d = Binary_diff.diff doc doc in
-  Alcotest.(check string) "roundtrip" doc (Binary_diff.apply doc d);
-  Alcotest.(check (float 1e-9)) "pure copy" 1.0 (Binary_diff.copy_ratio d);
-  Alcotest.(check bool) "tiny delta" true
-    (Binary_diff.size d < String.length doc / 10)
-
-let test_bindiff_insertion_shift () =
-  (* unaligned insertion: line diffs handle this, and so must the
-     block-hash differ via its rolling window *)
-  let rng = Prng.create ~seed:157 in
-  let a = rand_bytes rng 4000 in
-  let b = String.sub a 0 1999 ^ "XYZ" ^ String.sub a 1999 (4000 - 1999) in
-  let d = Binary_diff.diff a b in
-  Alcotest.(check string) "roundtrip" b (Binary_diff.apply a d);
-  Alcotest.(check bool) "mostly copied" true (Binary_diff.copy_ratio d > 0.9);
-  Alcotest.(check bool) "delta small" true (Binary_diff.size d < 500)
-
-let test_bindiff_block_move () =
-  (* content moved wholesale: Myers-style diffs pay full price, the
-     binary differ copies both halves *)
-  let rng = Prng.create ~seed:163 in
-  let x = rand_bytes rng 2000 and y = rand_bytes rng 2000 in
-  let a = x ^ y and b = y ^ x in
-  let d = Binary_diff.diff a b in
-  Alcotest.(check string) "roundtrip" b (Binary_diff.apply a d);
-  Alcotest.(check bool) "move detected" true (Binary_diff.copy_ratio d > 0.95)
-
-let test_bindiff_disjoint () =
-  let rng = Prng.create ~seed:167 in
-  let a = rand_bytes rng 1000 and b = rand_bytes rng 1000 in
-  let d = Binary_diff.diff a b in
-  Alcotest.(check string) "roundtrip" b (Binary_diff.apply a d)
-
-let test_bindiff_empty_and_small () =
-  let d = Binary_diff.diff "" "" in
-  Alcotest.(check string) "empty" "" (Binary_diff.apply "" d);
-  let d = Binary_diff.diff "short" "other" in
-  Alcotest.(check string) "below block size" "other"
-    (Binary_diff.apply "short" d);
-  let d = Binary_diff.diff "" "target" in
-  Alcotest.(check string) "empty source" "target" (Binary_diff.apply "" d)
-
-let test_bindiff_codec () =
-  let rng = Prng.create ~seed:173 in
-  let a = rand_bytes rng 3000 in
-  let b = String.sub a 500 2000 ^ rand_bytes rng 100 in
-  let d = Binary_diff.diff a b in
-  let d' = Binary_diff.decode (Binary_diff.encode d) in
-  Alcotest.(check string) "decoded applies" b (Binary_diff.apply a d');
-  Alcotest.(check bool) "corrupt rejected" true
-    (match Binary_diff.decode "Zjunk" with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_bindiff_bad_copy () =
-  let rng = Prng.create ~seed:179 in
-  let a = rand_bytes rng 500 in
-  let b = a ^ a in
-  let d = Binary_diff.diff a b in
-  (* applying against a shorter source must fail *)
-  Alcotest.(check bool) "bounds checked" true
-    (match Binary_diff.apply "tiny" d with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let qcheck_bindiff_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      let doc = map (fun l -> String.concat "" (List.map (String.make 1) l))
-          (list_size (int_bound 2000) (map Char.chr (int_bound 255))) in
-      pair doc doc)
-  in
-  QCheck.Test.make ~name:"binary diff roundtrip" ~count:200
-    (QCheck.make ~print:(fun (a, b) -> String.escaped a ^ " / " ^ String.escaped b) gen)
-    (fun (a, b) -> Binary_diff.apply a (Binary_diff.diff a b) = b)
-
-(* ---- Chunker ---- *)
 
 let test_chunk_coverage () =
   let rng = Prng.create ~seed:181 in
@@ -184,15 +102,6 @@ let suite =
   [
     Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
     Alcotest.test_case "varint errors" `Quick test_varint_errors;
-    Alcotest.test_case "bindiff identical" `Quick test_bindiff_identical;
-    Alcotest.test_case "bindiff unaligned insert" `Quick
-      test_bindiff_insertion_shift;
-    Alcotest.test_case "bindiff block move" `Quick test_bindiff_block_move;
-    Alcotest.test_case "bindiff disjoint" `Quick test_bindiff_disjoint;
-    Alcotest.test_case "bindiff empty/small" `Quick test_bindiff_empty_and_small;
-    Alcotest.test_case "bindiff codec" `Quick test_bindiff_codec;
-    Alcotest.test_case "bindiff bounds" `Quick test_bindiff_bad_copy;
-    QCheck_alcotest.to_alcotest qcheck_bindiff_roundtrip;
     Alcotest.test_case "chunk coverage" `Quick test_chunk_coverage;
     Alcotest.test_case "chunk stability" `Quick test_chunk_stability_under_insertion;
     Alcotest.test_case "chunk validation" `Quick test_chunk_validation;

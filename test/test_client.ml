@@ -175,6 +175,56 @@ let test_reserved_ref_names () =
       | Ok (status, _) -> Alcotest.failf "/tags: HTTP %d" status
       | Error e -> Alcotest.failf "/tags: %s" e)
 
+(* A server that answers exactly one connection with [response]: it
+   reads the request head (the client sends no body), writes, closes. *)
+let with_fake_server response k =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 1;
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let serve () =
+    let fd, _ = Unix.accept sock in
+    let buf = Bytes.create 4096 in
+    let rec read_head seen =
+      let n = Unix.read fd buf 0 (Bytes.length buf) in
+      let seen = seen ^ Bytes.sub_string buf 0 n in
+      let l = String.length seen in
+      if n > 0 && not (l >= 4 && String.sub seen (l - 4) 4 = "\r\n\r\n") then
+        read_head seen
+    in
+    read_head "";
+    ignore (Unix.write_substring fd response 0 (String.length response));
+    Unix.close fd
+  in
+  let server = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join server;
+      Unix.close sock)
+    (fun () -> k port)
+
+(* A response's Content-Length must be decimal digits: a negative one
+   used to escape [request] as Invalid_argument, a hex one was obeyed. *)
+let test_bad_response_content_length () =
+  List.iter
+    (fun (cl, body) ->
+      with_fake_server
+        (Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" cl
+           body)
+      @@ fun port ->
+      let client = Client.connect ~retries:1 ~host:"127.0.0.1" ~port () in
+      match Client.request_detailed client ~meth:"GET" ~path:"/stats" () with
+      | Ok (status, _) ->
+          Alcotest.failf "Content-Length %s accepted (HTTP %d)" cl status
+      | Error e ->
+          Alcotest.(check bool) ("Io error for " ^ cl) true
+            (e.Client.kind = Client.Io))
+    [ ("-1", ""); ("0x10", "0123456789abcdef") ]
+
 let suite =
   [
     Alcotest.test_case "reserved characters in ref names" `Quick
@@ -186,6 +236,8 @@ let suite =
       test_get_retries_dropped_connection;
     Alcotest.test_case "POST not retried after send" `Quick
       test_post_not_retried_after_send;
+    Alcotest.test_case "bad response content-length" `Quick
+      test_bad_response_content_length;
     Alcotest.test_case "request counters by status" `Quick
       test_request_counters_by_status;
   ]

@@ -147,12 +147,6 @@ let test_gith_window_one () =
     Alcotest.(check bool) "depth bound" true (Storage_graph.depth sg v <= 3)
   done
 
-let test_hop_cost_on_zero_deltas () =
-  let g = zero_delta_graph () in
-  let sg = Fixtures.ok (Hop_cost.solve_bounded_depth g ~max_depth:1) in
-  Fixtures.check_valid g sg;
-  Alcotest.(check bool) "depth bound" true (Hop_cost.max_depth sg <= 1)
-
 let test_huge_costs () =
   (* near-max-float costs must not overflow comparisons *)
   let g = Aux_graph.create ~n_versions:2 in
@@ -175,7 +169,5 @@ let suite =
     Alcotest.test_case "lmg deterministic" `Quick
       test_lmg_infinite_budget_idempotent;
     Alcotest.test_case "gith window 1" `Quick test_gith_window_one;
-    Alcotest.test_case "hop cost on zero deltas" `Quick
-      test_hop_cost_on_zero_deltas;
     Alcotest.test_case "huge costs" `Quick test_huge_costs;
   ]

@@ -177,7 +177,15 @@ let test_parser_content_length_hygiene () =
   Alcotest.(check int) "negative CL" 400
     (reject_of "POST /x HTTP/1.1\r\nContent-Length: -1\r\n\r\n");
   Alcotest.(check int) "garbage CL" 400
-    (reject_of "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n")
+    (reject_of "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n");
+  (* Content-Length is 1*DIGIT: OCaml's integer literal syntax is not *)
+  List.iter
+    (fun v ->
+      Alcotest.(check int) ("non-decimal CL " ^ v) 400
+        (reject_of
+           ("POST /x HTTP/1.1\r\nContent-Length: " ^ v
+          ^ "\r\n\r\n0123456789abcdef")))
+    [ "0x10"; "+16"; "1_6"; "0o20"; "0b10000"; "-0" ]
 
 (* ---- socket plumbing ---- *)
 

@@ -1,4 +1,4 @@
-(* Resemblance, Dot, Migration, Retrieval_sim. *)
+(* Resemblance, Dot, Retrieval_sim. *)
 
 open Versioning_core
 module Resemblance = Versioning_delta.Resemblance
@@ -114,46 +114,6 @@ let test_dot_aux_graph_truncation () =
   Alcotest.(check bool) "no truncation note when small" true
     (not (contains ~needle:"truncated" full))
 
-(* ---- Migration ---- *)
-
-let test_migration_plan () =
-  let g = Fixtures.figure1 () in
-  let a =
-    Fixtures.ok
-      (Storage_graph.of_parents g
-         ~parents:[ (0, 1); (1, 2); (1, 3); (2, 4); (3, 5) ])
-  in
-  let b =
-    Fixtures.ok
-      (Storage_graph.of_parents g
-         ~parents:[ (0, 1); (1, 2); (0, 3); (2, 4); (3, 5) ])
-  in
-  let p = Migration.plan ~from_:a ~to_:b in
-  (* only V3 changes: delta(1->3) dropped, materialization written *)
-  Alcotest.(check int) "four unchanged" 4 p.Migration.unchanged;
-  Alcotest.(check (float 1e-9)) "bytes written" 9700.0 p.Migration.bytes_written;
-  Alcotest.(check (float 1e-9)) "bytes freed" 1000.0 p.Migration.bytes_freed;
-  Alcotest.(check (float 1e-9)) "net" 8700.0 (Migration.net_bytes p);
-  Alcotest.(check bool) "actions shape" true
-    (p.Migration.actions
-    = [ Migration.Materialize 3; Migration.Drop_delta { parent = 1; child = 3 } ]);
-  (* identity migration is empty *)
-  let id = Migration.plan ~from_:a ~to_:a in
-  Alcotest.(check int) "identity unchanged" 5 id.Migration.unchanged;
-  Alcotest.(check (list int)) "identity no actions" []
-    (List.map (fun _ -> 0) id.Migration.actions)
-
-let test_migration_mismatch () =
-  let g5 = Fixtures.figure1 () in
-  let sg5 = Fixtures.ok (Solver.min_storage_tree g5) in
-  let rng = Prng.create ~seed:229 in
-  let g3 = Fixtures.random_graph ~n_min:3 ~n_max:3 rng in
-  let sg3 = Fixtures.ok (Solver.min_storage_tree g3) in
-  Alcotest.(check bool) "size mismatch rejected" true
-    (match Migration.plan ~from_:sg5 ~to_:sg3 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* ---- Retrieval_sim ---- *)
 
 let test_sim_no_cache_equals_model () =
@@ -242,8 +202,6 @@ let suite =
     Alcotest.test_case "dot storage graph" `Quick test_dot_storage_graph;
     Alcotest.test_case "dot custom labels" `Quick test_dot_custom_labels;
     Alcotest.test_case "dot truncation" `Quick test_dot_aux_graph_truncation;
-    Alcotest.test_case "migration plan" `Quick test_migration_plan;
-    Alcotest.test_case "migration mismatch" `Quick test_migration_mismatch;
     Alcotest.test_case "sim = cost model w/o cache" `Quick
       test_sim_no_cache_equals_model;
     Alcotest.test_case "sim cache helps" `Quick test_sim_cache_helps;

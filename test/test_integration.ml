@@ -143,36 +143,6 @@ let test_dedup_vs_delta_storage () =
   Alcotest.(check bool) "delta plan beats dedup" true
     (mca_bytes < float_of_int dedup_bytes)
 
-let test_online_follows_history () =
-  (* Feed the generated history to the online policy in commit order,
-     revealing each version's parent delta - the DATAHUB arrival
-     pattern. *)
-  let d = small_dataset 13 in
-  let g = d.Dataset_gen.aux in
-  let n = Aux_graph.n_versions g in
-  let t = Online.create (Online.Min_delta) in
-  for v = 1 to n do
-    let materialization =
-      Option.get (Aux_graph.materialization g v)
-    in
-    let candidates =
-      match History_gen.first_parent d.Dataset_gen.history v with
-      | None -> []
-      | Some p -> (
-          match Aux_graph.delta g ~src:p ~dst:v with
-          | Some w -> [ (p, w) ]
-          | None -> [])
-    in
-    ignore (Result.get_ok (Online.add_version t ~materialization ~candidates))
-  done;
-  let sg = Online.to_storage_graph t in
-  Alcotest.(check int) "all placed" n (Storage_graph.n_versions sg);
-  (* online with parent-only candidates cannot beat offline MCA with
-     the full reveal set *)
-  let base = Fixtures.ok (Solver.min_storage_tree g) in
-  Alcotest.(check bool) "online >= offline optimum" true
-    (Online.storage_cost t >= Storage_graph.storage_cost base -. 1e-6)
-
 let suite =
   [
     Alcotest.test_case "pipeline invariants" `Quick test_pipeline_invariants;
@@ -182,6 +152,4 @@ let suite =
       test_contents_parse_as_tables;
     Alcotest.test_case "dedup vs delta storage" `Quick
       test_dedup_vs_delta_storage;
-    Alcotest.test_case "online follows history" `Quick
-      test_online_follows_history;
   ]

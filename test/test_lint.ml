@@ -15,7 +15,7 @@ let config =
 allow = ["lib/util/fsutil.ml", "lib/store/fsutil.ml"]
 
 [R2-unsafe-index]
-allow = ["lib/delta/chunker.ml", "lib/delta/compress.ml", "lib/delta/binary_diff.ml"]
+allow = ["lib/delta/chunker.ml", "lib/delta/compress.ml"]
 
 [R3-domain-spawn]
 allow = ["lib/util/pool.ml"]
@@ -548,6 +548,68 @@ let test_real_tree_clean () =
           (String.concat "\n" (List.map Lint_rules.to_string diags))
   end
 
+(* ---- every library module has a caller ---- *)
+
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+(* [name] occurs in [src] as a path prefix [Name.], or as the last
+   component of a [module X = ... Name] alias. A test-only module has
+   neither in lib/, bin/ or bench/. *)
+let references ~name src =
+  let n = String.length src and k = String.length name in
+  let rec dotted i =
+    match String.index_from_opt src i name.[0] with
+    | None -> false
+    | Some i ->
+        (i + k < n
+        && String.sub src i k = name
+        && src.[i + k] = '.'
+        && (i = 0 || not (is_ident_char src.[i - 1])))
+        || dotted (i + 1)
+  in
+  let alias line =
+    let line = String.trim line in
+    String.starts_with ~prefix:"module " line
+    &&
+    match String.index_opt line '=' with
+    | None -> false
+    | Some eq ->
+        let rhs = String.sub line (eq + 1) (String.length line - eq - 1) in
+        List.nth_opt (List.rev (String.split_on_char '.' (String.trim rhs))) 0
+        = Some name
+  in
+  dotted 0 || List.exists alias (String.split_on_char '\n' src)
+
+let test_no_orphan_modules () =
+  let roots = [ "../lib"; "../bin"; "../bench" ] in
+  if List.exists (fun d -> not (Sys.file_exists d && Sys.is_directory d)) roots
+  then ()
+  else begin
+    let files = List.fold_left collect [] roots |> List.sort compare in
+    let sources = List.map (fun f -> (f, read_file f)) files in
+    let modules =
+      List.filter
+        (fun f -> Filename.dirname (Filename.dirname f) = "../lib")
+        files
+    in
+    let orphans =
+      List.filter_map
+        (fun m ->
+          let name =
+            String.capitalize_ascii
+              (Filename.chop_suffix (Filename.basename m) ".ml")
+          in
+          if List.exists (fun (f, src) -> f <> m && references ~name src) sources
+          then None
+          else Some name)
+        modules
+    in
+    Alcotest.(check (list string))
+      "library modules with no caller in lib/, bin/ or bench/" [] orphans
+  end
+
 let suite =
   [
     Alcotest.test_case "R1 raw writes" `Quick test_r1;
@@ -567,4 +629,6 @@ let suite =
       test_config_stale_path;
     Alcotest.test_case "suppression window" `Quick test_suppression_window;
     Alcotest.test_case "real tree is clean" `Quick test_real_tree_clean;
+    Alcotest.test_case "no library module without a caller" `Quick
+      test_no_orphan_modules;
   ]
