@@ -217,8 +217,16 @@ let attempt t ~ctx ~meth ~path ~query ~body =
                   in
                   match name with
                   | "content-length" -> (
+                      (* The server refuses request bodies above the
+                         same limit, so no larger blob can replicate;
+                         reading one would only exhaust memory. *)
+                      let max = Http.Parser.default_limits.max_body_bytes in
                       match Http.parse_content_length value with
-                      | Some len -> content_length := Some len
+                      | Some len when len <= max -> content_length := Some len
+                      | Some _ ->
+                          failwith
+                            (Printf.sprintf "content-length %s above %d bytes"
+                               value max)
                       | None -> failwith ("bad content-length: " ^ value))
                   | "connection" ->
                       if String.lowercase_ascii value = "close" then

@@ -109,6 +109,11 @@ val request :
 (** Raw escape hatch: returns [(status, body)]. [path] goes on the
     wire as written, so its segments must already be percent-encoded. *)
 
+val path_of : string list -> string
+(** A request path from its segments, each percent-encoded:
+    [path_of ["checkout"; "release/1.0"]] is
+    ["/checkout/release%2F1.0"]. *)
+
 (** {2 Cluster support} *)
 
 val endpoint : t -> string

@@ -93,7 +93,8 @@ let kv_body body =
                (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
          | None -> if l = "" then None else Some (l, ""))
 
-let checkout t name = expect_ok t ~meth:"GET" ~path:("/checkout/" ^ name) ()
+let checkout t name =
+  expect_ok t ~meth:"GET" ~path:(Client.path_of [ "checkout"; name ]) ()
 
 let commit t ?(message = "") ?parents content =
   let query =

@@ -1,11 +1,7 @@
 (* FNV-1a in two independent 64-bit lanes (different offset bases),
    which in practice behaves like a 128-bit hash for dedup purposes.
-
-   The fold is byte-at-a-time, so it also runs incrementally: the
-   streamed blob reader feeds chunks through [feed] and checks the
-   digest with [finish] before releasing the final chunk. The two
-   formulations agree by construction — [hex] is [finish (feed (init
-   ()) s)]. *)
+   Every stored object is addressed by [hex]: its output must never
+   change (test_store pins known answers). *)
 
 let fnv_prime = 0x100000001b3L
 
@@ -13,28 +9,14 @@ let offset_a = 0xcbf29ce484222325L
 
 let offset_b = 0x9ae16a3b2f90404fL
 
-type state = { mutable lane_a : int64; mutable lane_b : int64 }
-
-let init () = { lane_a = offset_a; lane_b = offset_b }
-
-let feed_sub st s off len =
-  let a = ref st.lane_a and b = ref st.lane_b in
-  for i = off to off + len - 1 do
-    let byte = Int64.of_int (Char.code (String.get s i)) in
+let hex content =
+  let a = ref offset_a and b = ref offset_b in
+  for i = 0 to String.length content - 1 do
+    let byte = Int64.of_int (Char.code (String.get content i)) in
     a := Int64.mul (Int64.logxor !a byte) fnv_prime;
     b := Int64.mul (Int64.logxor !b byte) fnv_prime
   done;
-  st.lane_a <- !a;
-  st.lane_b <- !b
-
-let feed st s = feed_sub st s 0 (String.length s)
-
-let finish st = Printf.sprintf "%016Lx%016Lx" st.lane_a st.lane_b
-
-let hex content =
-  let st = init () in
-  feed st content;
-  finish st
+  Printf.sprintf "%016Lx%016Lx" !a !b
 
 let is_valid s =
   String.length s = 32

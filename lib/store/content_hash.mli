@@ -10,23 +10,3 @@ val hex : string -> string
 
 val is_valid : string -> bool
 (** Whether a string is a well-formed digest. *)
-
-(** {2 Incremental hashing}
-
-    The same digest computed over a sequence of chunks, for streamed
-    reads that verify without materializing the whole blob:
-    [finish] after [feed]ing chunks [c1; …; cn] equals
-    [hex (String.concat "" [c1; …; cn])]. *)
-
-type state
-
-val init : unit -> state
-
-val feed : state -> string -> unit
-
-val feed_sub : state -> string -> int -> int -> unit
-(** [feed_sub st s off len] folds the substring [s.[off .. off+len-1]]. *)
-
-val finish : state -> string
-(** The digest of everything fed so far (the state stays usable, but
-    feeding more bytes after [finish] changes later results). *)

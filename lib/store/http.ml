@@ -7,23 +7,11 @@ type request = {
   version : string;
 }
 
-(* A response body is either in memory or streamed in chunks pulled on
-   demand (zero-copy blob serving: the server writes each chunk
-   straight to the socket instead of materializing the whole body).
-   [stream_length] is the exact logical size — responses are always
-   Content-Length framed, streamed or not, so keep-alive works. *)
-type body_stream = {
-  stream_length : int;
-  read_chunk : unit -> (string option, string) result;
-  close_stream : unit -> unit;
-}
-
 type response = {
   status : int;
   content_type : string;
   headers : (string * string) list;
   body : string;
-  stream : body_stream option;
 }
 
 let status_text = function
@@ -40,45 +28,10 @@ let status_text = function
   | _ -> "Status"
 
 let ok ?(content_type = "text/plain; charset=utf-8") ?(headers = []) body =
-  { status = 200; content_type; headers; body; stream = None }
-
-let ok_stream ?(content_type = "application/octet-stream") stream =
-  { status = 200; content_type; headers = []; body = ""; stream = Some stream }
+  { status = 200; content_type; headers; body }
 
 let error status body =
-  {
-    status;
-    content_type = "text/plain; charset=utf-8";
-    headers = [];
-    body;
-    stream = None;
-  }
-
-let body_length resp =
-  match resp.stream with
-  | Some s -> s.stream_length
-  | None -> String.length resp.body
-
-(* Materialize a response body (drains a stream — single use). Test
-   and tooling convenience; the server never calls it. *)
-let response_body resp =
-  match resp.stream with
-  | None -> Ok resp.body
-  | Some s ->
-      let buf = Buffer.create s.stream_length in
-      let rec go () =
-        match s.read_chunk () with
-        | Ok (Some chunk) ->
-            Buffer.add_string buf chunk;
-            go ()
-        | Ok None ->
-            s.close_stream ();
-            Ok (Buffer.contents buf)
-        | Error e ->
-            s.close_stream ();
-            Error e
-      in
-      go ()
+  { status; content_type = "text/plain; charset=utf-8"; headers = []; body }
 
 (* ---- percent decoding --------------------------------------------
 
@@ -170,7 +123,7 @@ let parse_content_length v =
    header carrying a list — never has an innocent explanation
    (RFC 9112 §6.3). The status distinguishes "you sent garbage" (400)
    from "you sent more than this server accepts" (413). *)
-let body_length_of_headers ~max_body headers =
+let content_length_of_headers ~max_body headers =
   match
     List.filter_map
       (fun (name, v) -> if name = "content-length" then Some v else None)
@@ -338,7 +291,7 @@ module Parser = struct
             | Error e -> Error e
             | Ok hs -> (
                 match
-                  body_length_of_headers
+                  content_length_of_headers
                     ~max_body:t.limits.max_body_bytes hs
                 with
                 | Error e -> Error e
@@ -408,8 +361,8 @@ let sanitize_header_value v =
   String.map (function '\r' | '\n' -> ' ' | c -> c) v
 
 (* The serialized status line + headers, terminated by CRLFCRLF; the
-   body travels separately (as one string or as stream chunks), so the
-   writer can hand header and body slices to writev together. *)
+   body travels separately, so the writer can hand header and body
+   slices to writev together. *)
 let serialize_header ?(keep_alive = false) resp =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -423,7 +376,7 @@ let serialize_header ?(keep_alive = false) resp =
            (sanitize_header_value value)))
     resp.headers;
   Buffer.add_string buf
-    (Printf.sprintf "Content-Length: %d\r\n" (body_length resp));
+    (Printf.sprintf "Content-Length: %d\r\n" (String.length resp.body));
   Buffer.add_string buf
     (if keep_alive then "Connection: keep-alive\r\n\r\n"
      else "Connection: close\r\n\r\n");

@@ -2,10 +2,11 @@
 
     The paper's prototype serves version operations "in a client-server
     model over HTTP" (§5); this module supplies the protocol layer for
-    that: incremental request parsing, response serialization with
-    streamed bodies, and percent-decoding. Requests and responses are
-    always Content-Length framed — no chunked encoding, no TLS. The event-driven connection handling lives in
-    {!Server}; see DESIGN.md §13. *)
+    that: incremental request parsing, response serialization, and
+    percent-decoding. Requests and responses are always Content-Length
+    framed, with the whole body in memory — no chunked encoding, no
+    TLS. The event-driven connection handling lives in {!Server}; see
+    DESIGN.md §13. *)
 
 type request = {
   meth : string;  (** "GET", "POST", … (upper-cased) *)
@@ -18,45 +19,23 @@ type request = {
   version : string;  (** "HTTP/1.1" etc., as sent *)
 }
 
-(** A body produced incrementally: [read_chunk] yields [Some bytes]
-    until the stream is exhausted ([None]). [stream_length] is the
-    exact total size, known up front, so the response still carries a
-    Content-Length. An [Error] mid-stream means the connection must be
-    cut short (the status line is already on the wire). *)
-type body_stream = {
-  stream_length : int;
-  read_chunk : unit -> (string option, string) result;
-  close_stream : unit -> unit;
-}
-
 type response = {
   status : int;
   content_type : string;
   headers : (string * string) list;
       (** extra response headers (e.g. the echoed
           [X-Dsvc-Request-Id]); values are CR/LF-sanitized on write *)
-  body : string;  (** in-memory body; empty when [stream] is set *)
-  stream : body_stream option;
+  body : string;
 }
 
 val ok : ?content_type:string -> ?headers:(string * string) list -> string -> response
 (** 200 with [text/plain] and no extra headers by default. *)
 
-val ok_stream : ?content_type:string -> body_stream -> response
-(** 200 whose body is streamed ([application/octet-stream] default). *)
-
 val error : int -> string -> response
 
-val body_length : response -> int
-(** Exact body size, streamed or not. *)
-
-val response_body : response -> (string, string) result
-(** Materialize the body; drains (and closes) a streamed body, so a
-    stream can be read at most once. *)
-
 val serialize_header : ?keep_alive:bool -> response -> string
-(** Status line + headers + CRLFCRLF; Content-Length comes from
-    {!body_length}, Connection from [keep_alive] (default close). *)
+(** Status line + headers + CRLFCRLF; Content-Length is the length of
+    [body], Connection from [keep_alive] (default close). *)
 
 val keep_alive : request -> bool
 (** Whether the connection persists after this request: HTTP/1.1

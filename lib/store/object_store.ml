@@ -23,10 +23,6 @@ let record_verify result =
     ~labels:[ ("result", result) ]
     ~help:"Digest verifications on object reads, by outcome"
 
-let record_stream ~bytes =
-  Metrics.counter "dsvc_store_stream_bytes_total" ~by:(float_of_int bytes)
-    ~help:"Logical bytes served chunk-wise by Object_store.get_stream"
-
 let create_using sync ~dir =
   let* backend = Backend.fs_using sync ~dir in
   Ok { backend; fs_dir = Some dir }
@@ -77,127 +73,6 @@ let get t digest =
       record_get ~bytes:(String.length content);
       Ok content
     end
-
-(* ---- streamed reads (zero-copy blob serving, DESIGN.md §13) ------
-
-   A blob as a sequence of fixed-size chunks with the exact logical
-   length known up front. Raw-framed ('R') filesystem blobs stream
-   straight off disk, the digest verified incrementally — the final
-   chunk is only released once the whole content checked out, so a
-   corrupt blob cuts the body short instead of serving bad bytes as
-   a complete response. Compressed ('C') frames and non-filesystem
-   backends fall back to a verified full read served chunk-wise
-   (still no response-sized concatenation on the HTTP side). *)
-
-type blob_stream = {
-  bs_length : int;
-  bs_read : unit -> (string option, string) result;
-  bs_close : unit -> unit;
-}
-
-let default_chunk_size = 64 * 1024
-
-let stream_of_string ~chunk content =
-  let pos = ref 0 in
-  let len = String.length content in
-  {
-    bs_length = len;
-    bs_read =
-      (fun () ->
-        if !pos >= len then Ok None
-        else begin
-          let n = min chunk (len - !pos) in
-          let piece = String.sub content !pos n in
-          pos := !pos + n;
-          Ok (Some piece)
-        end);
-    bs_close = (fun () -> ());
-  }
-
-let stream_raw_file ~chunk path digest =
-  let ic = open_in_bin path in
-  let length = in_channel_length ic - 1 in
-  seek_in ic 1;
-  let st = Content_hash.init () in
-  let remaining = ref length in
-  let closed = ref false in
-  let close () =
-    if not !closed then begin
-      closed := true;
-      close_in_noerr ic
-    end
-  in
-  let read () =
-    if !remaining <= 0 then begin
-      close ();
-      Ok None
-    end
-    else
-      let n = min chunk !remaining in
-      match really_input_string ic n with
-      | piece ->
-          Content_hash.feed st piece;
-          remaining := !remaining - n;
-          if !remaining > 0 then Ok (Some piece)
-          else begin
-            close ();
-            if Content_hash.finish st <> digest then begin
-              record_verify "corrupt";
-              Error
-                (Printf.sprintf
-                   "object %s is corrupt (content fails its digest)" digest)
-            end
-            else begin
-              record_verify "ok";
-              record_get ~bytes:length;
-              Ok (Some piece)
-            end
-          end
-      | exception End_of_file ->
-          close ();
-          Error (Printf.sprintf "object %s is truncated on disk" digest)
-  in
-  { bs_length = length; bs_read = read; bs_close = close }
-
-(* Count chunks as they are actually handed to the caller, so the
-   stream-bytes counter reflects what went out on the wire (a stream
-   abandoned after one chunk only counts that chunk). *)
-let counted stream =
-  {
-    stream with
-    bs_read =
-      (fun () ->
-        match stream.bs_read () with
-        | Ok (Some piece) as r ->
-            record_stream ~bytes:(String.length piece);
-            r
-        | r -> r);
-  }
-
-let get_stream ?(chunk = default_chunk_size) t digest =
-  if not (Content_hash.is_valid digest) then
-    Error (Printf.sprintf "invalid digest %S" digest)
-  else
-    let fallback () =
-      let* content = get t digest in
-      Ok (counted (stream_of_string ~chunk content))
-    in
-    match t.fs_dir with
-    | None -> fallback ()
-    | Some dir -> (
-        let path = Backend.fs_path ~dir digest in
-        match open_in_bin path with
-        | exception Sys_error _ -> fallback ()
-        | probe -> (
-            (* Peek the framing tag: only raw frames stream off disk. *)
-            let tag = try Some (input_char probe) with End_of_file -> None in
-            close_in_noerr probe;
-            match tag with
-            | Some 'R' -> (
-                match stream_raw_file ~chunk path digest with
-                | s -> Ok (counted s)
-                | exception Sys_error e -> Error e)
-            | Some _ | None -> fallback ()))
 
 let status t digest =
   if not (Content_hash.is_valid digest) then `Missing

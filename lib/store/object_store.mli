@@ -69,24 +69,6 @@ val get : t -> string -> (string, string) result
 (** Fetch a blob by digest. The content is verified against the
     digest on every read; corrupt blobs return [Error]. *)
 
-(** A blob as a chunk sequence with its exact logical length known up
-    front — what zero-copy HTTP serving consumes (DESIGN.md §13). *)
-type blob_stream = {
-  bs_length : int;
-  bs_read : unit -> (string option, string) result;
-      (** next chunk, [None] at end-of-stream *)
-  bs_close : unit -> unit;  (** release the descriptor early *)
-}
-
-val get_stream : ?chunk:int -> t -> string -> (blob_stream, string) result
-(** Open a blob for chunked reading ([chunk] defaults to 64 KiB).
-    Raw-framed filesystem blobs stream straight off disk with the
-    digest verified incrementally: the final chunk is withheld (an
-    [Error] instead) if the content fails its digest, so a corrupt
-    blob yields a short body rather than a complete-looking bad one.
-    Compressed frames and non-filesystem backends fall back to a
-    verified {!get} served in chunks. *)
-
 val status : t -> string -> [ `Ok | `Missing | `Corrupt ]
 (** Non-destructively classify a digest: present and digest-valid,
     absent, or present but unreadable / failing its digest. *)

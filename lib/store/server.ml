@@ -510,17 +510,9 @@ let table =
         Http.ok (health_body ?cluster:e.cluster e.repo));
     (* ---- peer blob routes: always the node's LOCAL shard ---- *)
     route "GET" "/blob/:digest" Read (fun e arg ->
-        (* Streamed: raw-framed blobs go from disk to the socket in
-           fixed-size chunks without ever being materialized whole. *)
         with_digest arg @@ fun digest ->
-        match Object_store.get_stream (local_store e) digest with
-        | Ok s ->
-            Http.ok_stream
-              {
-                Http.stream_length = s.Object_store.bs_length;
-                read_chunk = s.Object_store.bs_read;
-                close_stream = s.Object_store.bs_close;
-              }
+        match Object_store.get (local_store e) digest with
+        | Ok content -> Http.ok ~content_type:"application/octet-stream" content
         | Error msg -> Http.error 404 (msg ^ "\n"));
     route "GET" "/blob/:digest/stat" Read (fun e arg ->
         with_digest arg @@ fun digest ->
@@ -774,7 +766,6 @@ type conn = {
   c_parser : Http.Parser.t;
   c_pending : Http.request Queue.t;  (* parsed, not yet dispatched *)
   c_out : out_slice Queue.t;  (* serialized bytes awaiting the socket *)
-  mutable c_stream : Http.body_stream option;  (* body being streamed *)
   mutable c_busy : bool;  (* a handler is running for this conn *)
   mutable c_close_after : bool;  (* close once the out queue drains *)
   mutable c_eof : bool;  (* peer closed its sending half *)
@@ -981,7 +972,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
     in
     let conn_drained conn =
       Queue.is_empty conn.c_out
-      && conn.c_stream = None && (not conn.c_busy)
+      && (not conn.c_busy)
       && Queue.is_empty conn.c_pending
       && not (Http.Parser.in_request conn.c_parser)
     in
@@ -1013,22 +1004,19 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
     let rec close_conn conn =
       if not conn.c_closed then begin
         conn.c_closed <- true;
-        (match conn.c_stream with
-        | Some s -> s.Http.close_stream ()
-        | None -> ());
-        conn.c_stream <- None;
         Evloop.remove loop conn.c_fd;
         Hashtbl.remove conns (Evloop.fd_int conn.c_fd);
         (try Unix.close conn.c_fd with Unix.Unix_error _ -> ())
       end
     and update_interest conn =
       if not conn.c_closed then begin
-        let want_write =
-          conn.c_stream <> None || not (Queue.is_empty conn.c_out)
-        in
+        let want_write = not (Queue.is_empty conn.c_out) in
+        (* No reads while output is queued: a peer that pipelines
+           without reading then holds at most [max_pipeline] requests
+           and their responses in the server, however large. *)
         let want_read =
           (not conn.c_close_after)
-          && (not conn.c_eof)
+          && (not conn.c_eof) && (not want_write)
           && Queue.length conn.c_pending < max_pipeline
         in
         Evloop.modify loop conn.c_fd ~read:want_read ~write:want_write
@@ -1053,11 +1041,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
       (* The fault site that makes the peer vanish instead of
          responding. *)
       match Faults.guard "http.write_response" with
-      | exception Faults.Injected _ ->
-          (match resp.Http.stream with
-          | Some s -> s.Http.close_stream ()
-          | None -> ());
-          close_conn conn
+      | exception Faults.Injected _ -> close_conn conn
       | () ->
           if conn.c_served > 0 then
             Metrics.counter "dsvc_server_keepalive_reuse_total"
@@ -1066,50 +1050,17 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
           incr served;
           let header = Http.serialize_header ~keep_alive:keep resp in
           Queue.push { o_data = header; o_off = 0 } conn.c_out;
-          (match resp.Http.stream with
-          | Some s -> conn.c_stream <- Some s
-          | None ->
-              if resp.Http.body <> "" then
-                Queue.push { o_data = resp.Http.body; o_off = 0 } conn.c_out);
+          if resp.Http.body <> "" then
+            Queue.push { o_data = resp.Http.body; o_off = 0 } conn.c_out;
           if not keep then conn.c_close_after <- true;
           (match max_requests with
           | Some m when !served >= m -> begin_shutdown ()
           | _ -> ())
-    and fill_from_stream conn =
-      match conn.c_stream with
-      | None -> ()
-      | Some s ->
-          if Queue.length conn.c_out < 4 then begin
-            match
-              Faults.guard "http.write_chunk";
-              s.Http.read_chunk ()
-            with
-            | exception Faults.Injected _ ->
-                (* the peer sees the connection die mid-body *)
-                close_conn conn
-            | Ok (Some chunk) ->
-                Queue.push { o_data = chunk; o_off = 0 } conn.c_out;
-                fill_from_stream conn
-            | Ok None ->
-                s.Http.close_stream ();
-                conn.c_stream <- None
-            | Error e ->
-                (* The status line is already on the wire: cut the body
-                   short so the Content-Length mismatch surfaces
-                   client-side instead of a complete-looking bad
-                   response. *)
-                Log.warn (fun m -> m "streamed body failed: %s" e);
-                s.Http.close_stream ();
-                conn.c_stream <- None;
-                Queue.clear conn.c_pending;
-                conn.c_close_after <- true
-          end
     and dispatch conn =
       if
         (not conn.c_busy)
         && (not conn.c_closed)
         && (not conn.c_close_after)
-        && conn.c_stream = None
         && not (Queue.is_empty conn.c_pending)
       then begin
         let req = Queue.pop conn.c_pending in
@@ -1128,46 +1079,27 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
       end
     and on_response conn keep resp =
       conn.c_busy <- false;
-      if conn.c_closed then (
-        match resp.Http.stream with
-        | Some s -> s.Http.close_stream ()
-        | None -> ())
-      else begin
+      if not conn.c_closed then begin
         enqueue_response conn ~keep resp;
         if not conn.c_closed then begin
           dispatch conn;
-          update_interest conn;
           try_flush conn
         end
       end
     and try_flush conn =
       if not conn.c_closed then begin
-        fill_from_stream conn;
         let progress = ref true in
         (try
-           while
-             !progress
-             && (not conn.c_closed)
-             && not (Queue.is_empty conn.c_out)
-           do
-             let slices = gather conn in
-             let n = Evloop.writev conn.c_fd slices in
-             if n <= 0 then progress := false
-             else begin
-               advance conn n;
-               fill_from_stream conn
-             end
+           while !progress && not (Queue.is_empty conn.c_out) do
+             let n = Evloop.writev conn.c_fd (gather conn) in
+             if n <= 0 then progress := false else advance conn n
            done
          with Unix.Unix_error _ -> close_conn conn);
         if not conn.c_closed then
-          if Queue.is_empty conn.c_out && conn.c_stream = None then
-            if conn.c_close_after then close_conn conn
-            else begin
-              (* a finished stream unblocks the next pipelined response *)
-              dispatch conn;
-              if conn.c_eof && conn_drained conn then close_conn conn
-              else update_interest conn
-            end
+          if
+            Queue.is_empty conn.c_out
+            && (conn.c_close_after || (conn.c_eof && conn_drained conn))
+          then close_conn conn
           else update_interest conn
       end
     and drain_parser conn =
@@ -1254,7 +1186,6 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
                 c_parser = Http.Parser.create ();
                 c_pending = Queue.create ();
                 c_out = Queue.create ();
-                c_stream = None;
                 c_busy = false;
                 c_close_after = false;
                 c_eof = false;
@@ -1272,11 +1203,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
       let expired =
         Hashtbl.fold
           (fun _ c acc ->
-            if
-              c.c_closed || c.c_busy
-              || (not (Queue.is_empty c.c_out))
-              || c.c_stream <> None
-            then acc
+            if c.c_closed || c.c_busy || not (Queue.is_empty c.c_out) then acc
             else
               let idle = now -. c.c_last_activity in
               if Http.Parser.in_request c.c_parser then
@@ -1313,8 +1240,6 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
         Thread.join executor;
         let all = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
         List.iter close_conn all;
-        (* drain late-posted responses so their streams close *)
-        ignore (Evloop.wait loop ~timeout:0.0);
         if !listener_open then begin
           listener_open := false;
           try Unix.close lsock with Unix.Unix_error _ -> ()

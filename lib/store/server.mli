@@ -113,8 +113,8 @@ val serve :
 (** Event-driven serving on [host] (default 127.0.0.1): one loop
     thread owns every socket ({!Versioning_util.Evloop} — epoll where
     available), connections persist across requests (HTTP/1.1
-    keep-alive, pipelining up to a bounded depth), and blob responses
-    stream from disk in fixed-size chunks through vectored writes.
+    keep-alive, pipelining up to a bounded depth), and responses go
+    out through vectored writes.
     Parsed requests execute on one executor thread so a slow handler
     never blocks the loop; all but [Obs] routes also take an internal
     repo lock.

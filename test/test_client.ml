@@ -207,8 +207,9 @@ let with_fake_server response k =
       Unix.close sock)
     (fun () -> k port)
 
-(* A response's Content-Length must be decimal digits: a negative one
-   used to escape [request] as Invalid_argument, a hex one was obeyed. *)
+(* A response's Content-Length must be decimal digits no larger than
+   the body limit: a negative or huge one used to escape [request] as
+   Invalid_argument, a hex one was obeyed. *)
 let test_bad_response_content_length () =
   List.iter
     (fun (cl, body) ->
@@ -223,7 +224,21 @@ let test_bad_response_content_length () =
       | Error e ->
           Alcotest.(check bool) ("Io error for " ^ cl) true
             (e.Client.kind = Client.Io))
-    [ ("-1", ""); ("0x10", "0123456789abcdef") ]
+    [
+      ("-1", "");
+      ("0x10", "0123456789abcdef");
+      ("4611686018427387903", "");
+      (string_of_int (Http.Parser.default_limits.max_body_bytes + 1), "");
+    ]
+
+(* The failover client builds its paths with [Client.path_of]: a ref
+   name that needs escaping reaches the route it names. *)
+let test_cluster_client_encodes_refs () =
+  with_server (fun client _ ->
+      ok (Client.tag client "release/1.0" ~at:1 ());
+      let cc = ok (Cluster_client.connect [ Client.endpoint client ]) in
+      Alcotest.(check string) "checkout release/1.0" "alpha\nbeta"
+        (ok (Cluster_client.checkout cc "release/1.0")))
 
 let suite =
   [
@@ -240,4 +255,6 @@ let suite =
       test_bad_response_content_length;
     Alcotest.test_case "request counters by status" `Quick
       test_request_counters_by_status;
+    Alcotest.test_case "cluster client encodes ref names" `Quick
+      test_cluster_client_encodes_refs;
   ]

@@ -1,6 +1,6 @@
 (* The event-driven server core (DESIGN.md §13): incremental request
    parsing, HTTP/1.1 keep-alive and pipelining, the 408/503/idle
-   backpressure limits, mid-stream blob faults, and the client's
+   backpressure limits, corrupt blob reads, and the client's
    persistent-connection error semantics. *)
 
 open Versioning_store
@@ -272,30 +272,8 @@ let read_response ic =
   headers ();
   (status, really_input_string ic !content_length)
 
-let read_to_eof ic =
-  let buf = Buffer.create 8192 in
-  let chunk = Bytes.create 8192 in
-  let rec go () =
-    let n = input ic chunk 0 (Bytes.length chunk) in
-    if n > 0 then begin
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
 let expect_eof name ic =
   Alcotest.(check int) name 0 (input ic (Bytes.create 1) 0 1)
-
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
 
 (* ---- keep-alive, pipelining and the limit responses ---- *)
 
@@ -455,18 +433,15 @@ let test_backend_matrix () =
   Alcotest.(check int) (backend ^ ": over capacity is 503") 503 s503;
   Alcotest.(check int) (backend ^ ": stalled request is 408") 408 s408
 
-(* ---- streamed blob bodies under fault ---- *)
+(* ---- a corrupt blob is a clean error ---- *)
 
-let test_streamed_blob_fault () =
-  Faults.reset ();
-  Fun.protect ~finally:(fun () -> Faults.reset ()) @@ fun () ->
+let test_corrupt_raw_blob () =
   on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~backend ~max_requests:2 repo in
-  (* several 64 KiB chunks' worth of blob *)
-  let content =
-    String.init 200_000 (fun i -> Char.chr (((i * 131) + (i / 7)) land 0xff))
-  in
+  let port, server = start_server ~backend ~max_requests:3 repo in
+  (* random bytes do not compress, so the file is raw-framed *)
+  let rng = Random.State.make [| 24 |] in
+  let content = String.init 100_000 (fun _ -> Char.chr (Random.State.int rng 256)) in
   let digest = Content_hash.hex content in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
@@ -476,32 +451,19 @@ let test_streamed_blob_fault () =
     ^ content);
   let s, _ = read_response ic in
   Alcotest.(check int) "blob stored" 201 s;
-  (* first chunk passes, then the connection dies mid-body: the client
-     must never see a complete-looking 200 *)
-  Faults.arm ~site:"http.write_chunk" ~after:1 Faults.Drop;
+  let path = Object_store.path_of (Repo.object_store repo) digest in
+  let framed = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check char) "raw frame" 'R' framed.[0];
+  let flipped = Bytes.of_string framed in
+  let i = Bytes.length flipped / 2 in
+  Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 1));
+  ok (Versioning_util.Fsutil.write_file path (Bytes.to_string flipped));
   send oc (Printf.sprintf "GET /blob/%s HTTP/1.1\r\nHost: h\r\n\r\n" digest);
-  let raw = read_to_eof ic in
-  Alcotest.(check bool) "fault fired" false
-    (Faults.armed ~site:"http.write_chunk");
-  let complete =
-    match find_sub raw "\r\n\r\n" with
-    | Some i ->
-        String.length raw >= 12
-        && String.sub raw 0 12 = "HTTP/1.1 200"
-        && String.length raw - i - 4 >= String.length content
-    | None -> false
-  in
-  Alcotest.(check bool) "mid-stream drop leaves an incomplete response" false
-    complete;
-  (* whatever body bytes did arrive are a prefix of the blob, not
-     garbage *)
-  (match find_sub raw "\r\n\r\n" with
-  | Some i ->
-      let got = String.length raw - i - 4 in
-      Alcotest.(check string) "partial body is a prefix"
-        (String.sub content 0 got)
-        (String.sub raw (i + 4) got)
-  | None -> ());
+  let s, _ = read_response ic in
+  Alcotest.(check int) "corrupt blob is a 404" 404 s;
+  send oc "GET /health HTTP/1.1\r\nHost: h\r\n\r\n";
+  let s, _ = read_response ic in
+  Alcotest.(check int) "connection survives" 200 s;
   Thread.join server
 
 (* ---- client connection reuse and the typed stale error ---- *)
@@ -564,8 +526,8 @@ let suite =
       test_max_connections_503;
     Alcotest.test_case "backend matrix agrees on 408/413/503" `Quick
       test_backend_matrix;
-    Alcotest.test_case "streamed blob cut mid-body" `Quick
-      test_streamed_blob_fault;
+    Alcotest.test_case "corrupt raw blob is a clean 404" `Quick
+      test_corrupt_raw_blob;
     Alcotest.test_case "client reuse and stale error" `Quick
       test_client_reuse_and_stale;
   ]

@@ -18,7 +18,18 @@ let test_hash_shape () =
   Alcotest.(check bool) "different content differs" true
     (Content_hash.hex "hello" <> Content_hash.hex "hellp");
   Alcotest.(check bool) "empty hashable" true
-    (Content_hash.is_valid (Content_hash.hex ""))
+    (Content_hash.is_valid (Content_hash.hex ""));
+  (* Known answers: every stored object is addressed by [hex], so a
+     rewrite must not move any of these. *)
+  List.iter
+    (fun (content, digest) ->
+      Alcotest.(check string) (Printf.sprintf "hex %S" content) digest
+        (Content_hash.hex content))
+    [
+      ("", "cbf29ce4842223259ae16a3b2f90404f");
+      ("hello", "a430d84680aabd0b16a54c9be37522b5");
+      ("a,b\n1,2\n", "6c1480fd529a9f0161063cf2b34ec13b");
+    ]
 
 let test_hash_validation () =
   Alcotest.(check bool) "short rejected" false (Content_hash.is_valid "abc");

@@ -21,8 +21,8 @@
    the last path component), local `let` scopes shadow module-level
    names, and anything else becomes an Ext target keyed by the callee's
    module path. `open` is not tracked and calls through record fields
-   (`s.read_chunk ()`) produce no edge; DESIGN.md section 14 lists the
-   resulting imprecision.
+   (`t.backend.Backend.get ~digest`) produce no edge; DESIGN.md
+   section 14 lists the resulting imprecision.
 
    Each call edge also records the set of mutexes held at the call
    site. Held sets are tracked through `Mutex.lock` / `Mutex.unlock`
