@@ -1,6 +1,7 @@
 (* Shared test fixtures and helpers. *)
 
 open Versioning_core
+open Versioning_workload
 module Prng = Versioning_util.Prng
 
 let ok = function Ok v -> v | Error e -> Alcotest.failf "unexpected error: %s" e
@@ -61,3 +62,61 @@ let check_valid g sg =
         (String.concat "\n" problems)
 
 let float_eq = Alcotest.float 1e-6
+
+(* Small integer weights make ties the rule: deltas 1..4, full
+   versions 5..8, some parallel deltas, and some versions without a
+   materialization, so a graph can have no valid solution. *)
+let tie_heavy ?(n_max = 30) rng =
+  let n = Prng.int_in rng 2 n_max in
+  let g = Aux_graph.create ~n_versions:n in
+  let mat_p = Prng.pick rng [| 0.4; 0.8; 1.0 |] in
+  for v = 1 to n do
+    if Prng.bernoulli rng mat_p then begin
+      let c = float_of_int (Prng.int_in rng 5 8) in
+      Aux_graph.add_materialization g ~version:v ~delta:c ~phi:c
+    end
+  done;
+  let density = Prng.pick rng [| 0.1; 0.3; 0.6 |] in
+  let delta src dst =
+    let c = float_of_int (Prng.int_in rng 1 4) in
+    Aux_graph.add_delta g ~src ~dst ~delta:c ~phi:c
+  in
+  for src = 1 to n do
+    for dst = 1 to n do
+      if src <> dst && Prng.bernoulli rng density then begin
+        delta src dst;
+        if Prng.bernoulli rng 0.1 then delta src dst
+      end
+    done
+  done;
+  g
+
+(* The plan-sweep shape: 250-version flat histories with
+   byte-priced deltas. *)
+let cost_gen seed =
+  let h =
+    History_gen.generate
+      (History_gen.flat_params ~n_commits:250)
+      (Prng.create ~seed:(17 + seed))
+  in
+  Cost_gen.generate ~jobs:1 h
+    { Cost_gen.default_params with max_hops = 5; reveal_cap = 12 }
+    (Prng.create ~seed)
+
+(* The graphs whose plans the golden files pin: the recipes, directed
+   and undirected, three plan-sweep graphs and 200 tie-heavy ones. *)
+let golden_graphs () =
+  let recipes =
+    List.concat_map
+      (fun (d : Recipes.dataset) ->
+        [ (d.id, d.aux); (d.id ^ "-undirected", (Recipes.undirected d).aux) ])
+      (Recipes.all ~scale:Recipes.Quick ~seed:1 ())
+  in
+  let sweeps =
+    List.map (fun s -> (Printf.sprintf "cost-gen-%d" s, cost_gen s)) [ 1; 2; 7919 ]
+  in
+  let rng = Prng.create ~seed:2015 in
+  let ties =
+    List.init 200 (fun i -> (Printf.sprintf "ties-%03d" i, tie_heavy rng))
+  in
+  recipes @ sweeps @ ties
