@@ -1,7 +1,8 @@
+module Heap = Versioning_util.Binary_heap
+
 (* Mutable tree state for the greedy loop: parent/weight per version,
-   children lists, exact recreation costs, and per-round subtree
-   weights (node counts, or frequency sums in the workload-aware
-   variant). *)
+   children lists, exact recreation costs, and subtree weights (node
+   counts, or frequency sums in the workload-aware variant). *)
 
 type state = {
   n : int;
@@ -10,10 +11,15 @@ type state = {
   children : int list array;
   recreation : float array;
   freq : float array;  (* all-ones when unweighted *)
-  subtree : float array;  (* Σ freq over the subtree, refreshed per round *)
-  tin : int array;  (* Euler-tour entry times, refreshed per round *)
-  tout : int array;  (* Euler-tour exit times *)
+  subtree : float array;  (* Σ freq over the subtree; unused at the root 0 *)
 }
+
+(* [freq v] plus the children's subtree weights, added in reverse list
+   order: the order a depth-first refresh of the whole tree adds them,
+   so weighted scores do not depend on which vertices were updated. *)
+let recompute_subtree st v =
+  st.subtree.(v) <-
+    List.fold_right (fun c acc -> acc +. st.subtree.(c)) st.children.(v) st.freq.(v)
 
 let init_state g base ~freqs =
   let n = Aux_graph.n_versions g in
@@ -35,46 +41,34 @@ let init_state g base ~freqs =
         Array.copy f
     | None -> Array.make (n + 1) 1.0
   in
-  {
-    n;
-    parent;
-    weight;
-    children;
-    recreation;
-    freq;
-    subtree = Array.make (n + 1) 0.0;
-    tin = Array.make (n + 1) 0;
-    tout = Array.make (n + 1) 0;
-  }
-
-(* Refresh subtree weights and Euler-tour intervals in one iterative
-   DFS. After this, [u] lies in the subtree of [v] iff
-   [tin v <= tin u && tout u <= tout v]. *)
-let refresh_subtrees st =
-  for v = 0 to st.n do
-    st.subtree.(v) <- (if v = 0 then 0.0 else st.freq.(v))
+  let st =
+    { n; parent; weight; children; recreation; freq; subtree = Array.make (n + 1) 0.0 }
+  in
+  (* Breadth-first order from the root, then every vertex after all of
+     its descendants. *)
+  let order = Array.make (n + 1) 0 in
+  let len = ref 1 in
+  for i = 0 to n do
+    if i < !len then
+      List.iter
+        (fun c ->
+          order.(!len) <- c;
+          incr len)
+        children.(order.(i))
   done;
-  let clock = ref 0 in
-  let stack = ref [ `Enter 0 ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | `Enter v :: rest ->
-        incr clock;
-        st.tin.(v) <- !clock;
-        stack := List.fold_left (fun acc c -> `Enter c :: acc) (`Exit v :: rest) st.children.(v)
-    | `Exit v :: rest ->
-        st.tout.(v) <- !clock;
-        if v <> 0 then
-          st.subtree.(st.parent.(v)) <- st.subtree.(st.parent.(v)) +. st.subtree.(v);
-        stack := rest
-  done
+  for i = !len - 1 downto 1 do
+    recompute_subtree st order.(i)
+  done;
+  st
 
-let is_descendant st ~anc v =
-  st.tin.(anc) <= st.tin.(v) && st.tout.(v) <= st.tout.(anc)
+(* [x] lies in the subtree of [anc]: walk x's parent chain. *)
+let is_descendant st ~anc x =
+  let rec up x = x = anc || (x > 0 && up st.parent.(x)) in
+  up x
 
 (* Apply the swap: re-parent [v] to [u] with weight [w], shifting the
-   recreation cost of every vertex in v's subtree by the same amount. *)
+   recreation cost of every vertex in v's subtree by the same amount.
+   Returns that subtree. *)
 let apply_swap st ~u ~v ~(w : Aux_graph.weight) =
   let shift = st.recreation.(u) +. w.phi -. st.recreation.(v) in
   let old_parent = st.parent.(v) in
@@ -82,15 +76,18 @@ let apply_swap st ~u ~v ~(w : Aux_graph.weight) =
   st.parent.(v) <- u;
   st.weight.(v) <- w;
   st.children.(u) <- v :: st.children.(u);
+  let moved = ref [] in
   let stack = ref [ v ] in
   while !stack <> [] do
     match !stack with
     | [] -> ()
     | x :: rest ->
         stack := rest;
+        moved := x :: !moved;
         st.recreation.(x) <- st.recreation.(x) +. shift;
         List.iter (fun c -> stack := c :: !stack) st.children.(x)
-  done
+  done;
+  !moved
 
 let to_storage_graph st =
   let choices =
@@ -102,59 +99,124 @@ let to_storage_graph st =
   | Ok sg -> sg
   | Error e -> invalid_arg ("Lmg: internal tree corrupt: " ^ e)
 
+(* Each round applies the live candidate swap of largest ρ that fits
+   the budget and keeps the tree a tree; among equal ρ, the one of
+   largest v. A heap holds the live candidates of positive gain keyed
+   by (−ρ, n − v). A swap v→u changes only three kinds of score: the
+   subtree weights on the paths from v's old parent and from u to the
+   root, the recreation costs in v's subtree, and the target costs of
+   the candidates whose SPT parent lies in v's subtree. Only those are
+   re-scored. Validity is checked on pop: a candidate whose SPT parent
+   lies below it waits out the round, and one over budget waits until
+   a swap lowers storage, since its own cost is fixed while it lives. *)
 let solve g ~base ~spt ~budget ?freqs () =
   Solver_obs.timed ~algo:"lmg" @@ fun () ->
   let st = init_state g base ~freqs in
+  let n = st.n in
   let storage = ref (Storage_graph.storage_cost base) in
-  (* Candidate pool ξ: SPT in-edges that differ from the current tree.
-     Entries are (spt_parent, v, weight); consumed when used. *)
-  let candidates = ref [] in
-  for v = 1 to st.n do
-    let pu = Storage_graph.parent spt v in
-    if pu <> st.parent.(v) then
-      candidates := (pu, v, Storage_graph.edge_weight spt v) :: !candidates
+  (* Candidate pool ξ: SPT in-edges that differ from the current tree,
+     one per version, consumed when used. *)
+  let source = Array.make (n + 1) (-1) in
+  let cand_w = Array.make (n + 1) ({ delta = 0.0; phi = 0.0 } : Aux_graph.weight) in
+  let cost = Array.make (n + 1) 0.0 in
+  let live = Array.make (n + 1) false in
+  let live_count = ref 0 in
+  let by_source = Array.make (n + 1) [] in
+  for v = 1 to n do
+    let u = Storage_graph.parent spt v in
+    if u <> st.parent.(v) then begin
+      let w = Storage_graph.edge_weight spt v in
+      source.(v) <- u;
+      cand_w.(v) <- w;
+      cost.(v) <- w.delta -. st.weight.(v).delta;
+      live.(v) <- true;
+      incr live_count;
+      by_source.(u) <- v :: by_source.(u)
+    end
   done;
-  let rounds = ref 0 in
+  let heap = Heap.create ~capacity:n in
+  (* −ρ of each live candidate, or nan while its gain is not positive. *)
+  let key = Array.make (n + 1) Float.nan in
+  (* Live candidates of positive gain kept out of the heap: [deferred]
+     until the round ends, [parked] until storage falls. *)
+  let held = Array.make (n + 1) false in
+  let deferred = ref [] in
+  let parked = ref [] in
+  let rescore v =
+    if live.(v) then begin
+      let u = source.(v) in
+      let gain =
+        st.subtree.(v) *. (st.recreation.(v) -. (st.recreation.(u) +. cand_w.(v).phi))
+      in
+      if gain > 0.0 then begin
+        let rho = if cost.(v) <= 0.0 then infinity else gain /. cost.(v) in
+        key.(v) <- -.rho;
+        if not held.(v) then Heap.insert heap (n - v) key.(v)
+      end
+      else begin
+        key.(v) <- Float.nan;
+        Heap.remove heap (n - v)
+      end
+    end
+  in
+  let release l =
+    List.iter
+      (fun v ->
+        held.(v) <- false;
+        if live.(v) && not (Float.is_nan key.(v)) then Heap.insert heap (n - v) key.(v))
+      !l;
+    l := []
+  in
+  let hold l v =
+    held.(v) <- true;
+    l := v :: !l
+  in
+  for v = 1 to n do
+    rescore v
+  done;
   let considered = ref 0 in
+  let rec pick () =
+    if Heap.is_empty heap then None
+    else begin
+      let v = n - fst (Heap.pop_min heap) in
+      incr considered;
+      if not (!storage +. cost.(v) <= budget) then (hold parked v; pick ())
+      else if is_descendant st ~anc:v source.(v) then (hold deferred v; pick ())
+      else Some v
+    end
+  in
+  let rec up v = if v > 0 then (recompute_subtree st v; up st.parent.(v)) in
+  let rec rescore_up v = if v > 0 then (rescore v; rescore_up st.parent.(v)) in
+  let rounds = ref 0 in
   let accepted = ref 0 in
   let continue = ref true in
-  while !continue && !candidates <> [] do
+  while !continue && !live_count > 0 do
     incr rounds;
-    refresh_subtrees st;
-    (* Score every candidate; keep the best applicable one. *)
-    let best = ref None in
-    List.iter
-      (fun (u, v, (w : Aux_graph.weight)) ->
-        incr considered;
-        let gain =
-          st.subtree.(v) *. (st.recreation.(v) -. (st.recreation.(u) +. w.phi))
-        in
-        let cost = w.delta -. st.weight.(v).delta in
-        if
-          gain > 0.0
-          && !storage +. cost <= budget
-          && u <> st.parent.(v)
-          && not (is_descendant st ~anc:v u)
-        then begin
-          let rho = if cost <= 0.0 then infinity else gain /. cost in
-          match !best with
-          | Some (rho', _, _, _, _) when rho' >= rho -> ()
-          | _ -> best := Some (rho, u, v, w, cost)
-        end)
-      !candidates;
-    match !best with
+    match pick () with
     | None -> continue := false
-    | Some (_, u, v, w, cost) ->
+    | Some v ->
         incr accepted;
-        apply_swap st ~u ~v ~w;
-        storage := !storage +. cost;
-        candidates :=
-          List.filter (fun (_, v', _) -> v' <> v) !candidates
+        live.(v) <- false;
+        decr live_count;
+        let u = source.(v) and old_parent = st.parent.(v) in
+        let moved = apply_swap st ~u ~v ~w:cand_w.(v) in
+        storage := !storage +. cost.(v);
+        release deferred;
+        if cost.(v) < 0.0 then release parked;
+        up u;
+        up old_parent;
+        rescore_up u;
+        rescore_up old_parent;
+        List.iter
+          (fun x ->
+            rescore x;
+            List.iter rescore by_source.(x))
+          moved
   done;
   Solver_obs.count ~algo:"lmg" "dsvc_solver_iterations_total" !rounds
     ~help:"Main-loop iterations (heap pops, rounds), by algorithm";
   Solver_obs.count ~algo:"lmg" "dsvc_solver_swaps_considered_total" !considered
-    ~help:"Candidate swaps scored by the greedy loop";
+    ~help:"Candidate swaps popped from the greedy loop's heap and checked for budget and tree validity";
   Solver_obs.count ~algo:"lmg" "dsvc_solver_swaps_accepted_total" !accepted
     ~help:"Candidate swaps actually applied by the greedy loop";
   to_storage_graph st

@@ -13,7 +13,11 @@
     shifts every descendant equally — or its access-frequency-weighted
     analogue in the workload-aware variant (Figure 16). Swaps whose
     storage increase is non-positive but that reduce recreation are
-    always taken. O(|V|²) after the O(1) per-candidate bookkeeping. *)
+    always taken. The candidates sit in a heap; a swap re-scores only
+    those on the two ancestor paths it changes, in the moved subtree,
+    and those whose SPT parent lies in it, so a round costs the path
+    lengths and the moved subtree, not a rescan of every candidate.
+    Ties in ρ go to the largest version id. *)
 
 val solve :
   Aux_graph.t ->

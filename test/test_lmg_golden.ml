@@ -10,6 +10,10 @@
    the LMG plans is intended. *)
 
 open Versioning_core
+open Versioning_workload
+module Obs = Versioning_obs.Obs
+module Metrics = Versioning_obs.Metrics
+module Prng = Versioning_util.Prng
 
 let budgets = [ 1.0; 1.1; 1.5; 3.0 ]
 let p5_bounds = [ 0.25; 0.75 ]
@@ -66,4 +70,78 @@ let test_golden () =
   Alcotest.(check int) "run count" (List.length expected) (List.length got);
   List.iter2 (fun want got -> Alcotest.(check string) "plan" want got) expected got
 
-let suite = [ Alcotest.test_case "golden plans" `Quick test_golden ]
+(* The work a run does is linear in the versions, not rounds × |ξ|:
+   heap pops stay within 4·n on a 4,000-version chain-heavy graph (the
+   cost parameters of the bench's ablation A) at 1.5 × MCA storage. *)
+let test_work_bound () =
+  let n = 4000 in
+  let rng = Prng.create ~seed:4000 in
+  let history =
+    History_gen.generate (History_gen.linear_params ~n_commits:n) rng
+  in
+  let g =
+    Cost_gen.generate history
+      {
+        Cost_gen.default_params with
+        delta_per_hop = 60.0;
+        max_hops = 4;
+        reveal_cap = 10;
+      }
+      rng
+  in
+  let base = Fixtures.ok (Mca.solve g) and spt = Fixtures.ok (Spt.solve g) in
+  let budget = 1.5 *. Storage_graph.storage_cost base in
+  let considered () =
+    Option.value ~default:0.0
+      (List.assoc_opt {|dsvc_solver_swaps_considered_total{algo="lmg"}|}
+         (Metrics.snapshot_values ()))
+  in
+  let sg, popped =
+    Obs.with_enabled true (fun () ->
+        let before = considered () in
+        let sg = Lmg.solve g ~base ~spt ~budget () in
+        (sg, considered () -. before))
+  in
+  Fixtures.check_valid g sg;
+  if popped > float_of_int (4 * n) then
+    Alcotest.failf "%.0f swaps considered for %d versions" popped n
+
+let qcheck_plans =
+  QCheck.Test.make ~count:300
+    ~name:"valid, within budget, never worse than the base"
+    QCheck.(pair int bool)
+    (fun (seed, weighted) ->
+      let rng = Prng.create ~seed in
+      let g = Fixtures.tie_heavy rng in
+      match (Mca.solve g, Spt.solve g) with
+      | Error _, _ | _, Error _ -> true
+      | Ok base, Ok spt ->
+          let n = Aux_graph.n_versions g in
+          let freqs =
+            if weighted then
+              Some (Array.init (n + 1) (fun _ -> Prng.float rng 3.0))
+            else None
+          in
+          let measure sg =
+            match freqs with
+            | Some f -> Storage_graph.weighted_recreation sg ~freqs:f
+            | None -> Storage_graph.sum_recreation sg
+          in
+          let cmin = Storage_graph.storage_cost base in
+          let budget = Prng.pick rng [| 0.9; 1.0; 1.1; 1.5; 3.0 |] *. cmin in
+          let sg = Lmg.solve g ~base ~spt ~budget ?freqs () in
+          (match Solution_check.check g sg with
+          | Ok _ -> ()
+          | Error problems ->
+              QCheck.Test.fail_reportf "invalid plan: %s"
+                (String.concat "; " problems));
+          let within = Storage_graph.storage_cost sg <= budget *. (1.0 +. 1e-9) in
+          (cmin > budget || within)
+          && measure sg <= measure base *. (1.0 +. 1e-9))
+
+let suite =
+  [
+    Alcotest.test_case "golden plans" `Quick test_golden;
+    Alcotest.test_case "work bound" `Quick test_work_bound;
+    QCheck_alcotest.to_alcotest qcheck_plans;
+  ]
