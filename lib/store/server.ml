@@ -1082,6 +1082,9 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
       if not conn.c_closed then begin
         enqueue_response conn ~keep resp;
         if not conn.c_closed then begin
+          (* Requests that arrived past [max_pipeline] wait in the
+             parser's buffer; no new bytes need come to parse them. *)
+          drain_parser conn;
           dispatch conn;
           try_flush conn
         end

@@ -317,6 +317,30 @@ let test_socket_pipelining () =
   Alcotest.(check string) "second body in order" "alpha\nbeta\ngamma" b2;
   Thread.join server
 
+(* More pipelined requests than the per-connection queue holds, in one
+   write: those left in the parser's buffer are served as the queue
+   drains, without the peer sending another byte. *)
+let test_pipelining_past_queue () =
+  on_backends @@ fun backend ->
+  let n = 20 in
+  let repo = mk_repo () in
+  let port, server = start_server ~backend ~max_requests:n repo in
+  let sock, ic, oc = tcp_connect port in
+  Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
+  let t0 = Unix.gettimeofday () in
+  send oc
+    (String.concat ""
+       (List.init n (fun _ -> "GET /health HTTP/1.1\r\nHost: h\r\n\r\n")));
+  for i = 1 to n do
+    match read_response ic with
+    | s, _ -> Alcotest.(check int) (Printf.sprintf "response %d" i) 200 s
+    | exception Sys_error e -> Alcotest.failf "response %d never came: %s" i e
+  done;
+  Alcotest.(check bool) "all within 2 s" true
+    (Unix.gettimeofday () -. t0 < 2.0);
+  Thread.join server
+
 let test_request_timeout_408 () =
   on_backends @@ fun backend ->
   let repo = mk_repo () in
@@ -518,6 +542,8 @@ let suite =
       test_parser_content_length_hygiene;
     Alcotest.test_case "keep-alive then close" `Quick test_keepalive_then_close;
     Alcotest.test_case "pipelining over a socket" `Quick test_socket_pipelining;
+    Alcotest.test_case "pipelining past the request queue" `Quick
+      test_pipelining_past_queue;
     Alcotest.test_case "stalled request gets 408" `Quick
       test_request_timeout_408;
     Alcotest.test_case "idle connection closed silently" `Quick
