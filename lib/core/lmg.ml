@@ -44,19 +44,17 @@ let init_state g base ~freqs =
   let st =
     { n; parent; weight; children; recreation; freq; subtree = Array.make (n + 1) 0.0 }
   in
-  (* Breadth-first order from the root, then every vertex after all of
-     its descendants. *)
-  let order = Array.make (n + 1) 0 in
-  let len = ref 1 in
+  (* A breadth-first order from the root 0 (the base spans every
+     version), walked backwards: each vertex after its descendants. *)
+  let order = Array.make (n + 1) 0 and len = ref 1 in
   for i = 0 to n do
-    if i < !len then
-      List.iter
-        (fun c ->
-          order.(!len) <- c;
-          incr len)
-        children.(order.(i))
+    List.iter
+      (fun c ->
+        order.(!len) <- c;
+        incr len)
+      children.(order.(i))
   done;
-  for i = !len - 1 downto 1 do
+  for i = n downto 1 do
     recompute_subtree st order.(i)
   done;
   st
@@ -135,41 +133,33 @@ let solve g ~base ~spt ~budget ?freqs () =
     end
   done;
   let heap = Heap.create ~capacity:n in
-  (* −ρ of each live candidate, or nan while its gain is not positive. *)
-  let key = Array.make (n + 1) Float.nan in
-  (* Live candidates of positive gain kept out of the heap: [deferred]
-     until the round ends, [parked] until storage falls. *)
+  (* Live candidates kept out of the heap: [deferred] until the round
+     ends, [parked] until storage falls. *)
   let held = Array.make (n + 1) false in
-  let deferred = ref [] in
-  let parked = ref [] in
+  let deferred = ref [] and parked = ref [] in
   let rescore v =
     if live.(v) then begin
       let u = source.(v) in
       let gain =
         st.subtree.(v) *. (st.recreation.(v) -. (st.recreation.(u) +. cand_w.(v).phi))
       in
-      if gain > 0.0 then begin
+      if not (gain > 0.0) then Heap.remove heap (n - v)
+      else if not held.(v) then
         let rho = if cost.(v) <= 0.0 then infinity else gain /. cost.(v) in
-        key.(v) <- -.rho;
-        if not held.(v) then Heap.insert heap (n - v) key.(v)
-      end
-      else begin
-        key.(v) <- Float.nan;
-        Heap.remove heap (n - v)
-      end
+        Heap.insert heap (n - v) (-.rho)
     end
+  in
+  let hold l v =
+    held.(v) <- true;
+    l := v :: !l
   in
   let release l =
     List.iter
       (fun v ->
         held.(v) <- false;
-        if live.(v) && not (Float.is_nan key.(v)) then Heap.insert heap (n - v) key.(v))
+        rescore v)
       !l;
     l := []
-  in
-  let hold l v =
-    held.(v) <- true;
-    l := v :: !l
   in
   for v = 1 to n do
     rescore v
@@ -185,8 +175,16 @@ let solve g ~base ~spt ~budget ?freqs () =
       else Some v
     end
   in
-  let rec up v = if v > 0 then (recompute_subtree st v; up st.parent.(v)) in
-  let rec rescore_up v = if v > 0 then (rescore v; rescore_up st.parent.(v)) in
+  (* Recompute the subtree weights from [v] to the root; re-score the
+     candidates whose weight changed. *)
+  let rec up v =
+    if v > 0 then begin
+      let before = st.subtree.(v) in
+      recompute_subtree st v;
+      if not (Float.equal before st.subtree.(v)) then rescore v;
+      up st.parent.(v)
+    end
+  in
   let rounds = ref 0 in
   let accepted = ref 0 in
   let continue = ref true in
@@ -201,22 +199,24 @@ let solve g ~base ~spt ~budget ?freqs () =
         let u = source.(v) and old_parent = st.parent.(v) in
         let moved = apply_swap st ~u ~v ~w:cand_w.(v) in
         storage := !storage +. cost.(v);
-        release deferred;
-        if cost.(v) < 0.0 then release parked;
+        (* Where the two paths meet, the second walk recomputes over
+           both updated sides. *)
         up u;
         up old_parent;
-        rescore_up u;
-        rescore_up old_parent;
         List.iter
           (fun x ->
             rescore x;
             List.iter rescore by_source.(x))
-          moved
+          moved;
+        release deferred;
+        if cost.(v) < 0.0 then release parked
   done;
   Solver_obs.count ~algo:"lmg" "dsvc_solver_iterations_total" !rounds
     ~help:"Main-loop iterations (heap pops, rounds), by algorithm";
   Solver_obs.count ~algo:"lmg" "dsvc_solver_swaps_considered_total" !considered
-    ~help:"Candidate swaps popped from the greedy loop's heap and checked for budget and tree validity";
+    ~help:
+      "Candidate swaps popped from the greedy loop's heap (each pop checks \
+       budget and tree validity)";
   Solver_obs.count ~algo:"lmg" "dsvc_solver_swaps_accepted_total" !accepted
     ~help:"Candidate swaps actually applied by the greedy loop";
   to_storage_graph st

@@ -17,7 +17,7 @@ let build_internal n (choices : (int * int * Aux_graph.weight) array) =
   let error = ref None in
   Array.iter
     (fun (p, v, w) ->
-      if !error = None then begin
+      if Option.is_none !error then begin
         if v < 1 || v > n then
           error := Some (Printf.sprintf "version %d out of range" v)
         else if seen.(v) then
@@ -42,25 +42,34 @@ let build_internal n (choices : (int * int * Aux_graph.weight) array) =
       done);
   match !error with
   | Some e -> Error e
-  | None -> (
-      (* Cycle check: walk up from each vertex, marking the path; a
-         revisit of an in-progress vertex is a cycle. Iterative to
-         stay safe on very deep chains. *)
-      let state = Array.make (n + 1) `White in
-      state.(0) <- `Black;
+  | None ->
+      (* Cycle check and recreation costs in one pass: walk up from each
+         unvisited vertex, marking the path in progress, to a finished
+         vertex (the root 0 is one); reaching an in-progress vertex is a
+         cycle. Then each path vertex, top down, gets its parent's cost
+         plus its own Φ. Iterative, for very deep chains. *)
+      let white = 0 and gray = 1 and black = 2 in
+      let state = Array.make (n + 1) white in
+      state.(0) <- black;
+      let recreation = Array.make (n + 1) 0.0 in
+      let path = Array.make (n + 1) 0 in
       let acyclic = ref true in
       for start = 1 to n do
-        if state.(start) = `White && !acyclic then begin
-          (* Ascend, graying the path. *)
-          let path = ref [] in
-          let v = ref start in
-          while state.(!v) = `White do
-            state.(!v) <- `Gray;
-            path := !v :: !path;
+        if !acyclic && state.(start) = white then begin
+          let len = ref 0 and v = ref start in
+          while state.(!v) = white do
+            state.(!v) <- gray;
+            path.(!len) <- !v;
+            incr len;
             v := parents.(!v)
           done;
-          if state.(!v) = `Gray then acyclic := false;
-          List.iter (fun u -> state.(u) <- `Black) !path
+          if state.(!v) = gray then acyclic := false
+          else
+            for i = !len - 1 downto 0 do
+              let x = path.(i) in
+              recreation.(x) <- recreation.(parents.(x)) +. weights.(x).phi;
+              state.(x) <- black
+            done
         end
       done;
       if not !acyclic then Error "parent choices contain a cycle"
@@ -69,22 +78,8 @@ let build_internal n (choices : (int * int * Aux_graph.weight) array) =
         for v = n downto 1 do
           child_lists.(parents.(v)) <- v :: child_lists.(parents.(v))
         done;
-        (* Recreation costs by preorder from the root (iterative). *)
-        let recreation = Array.make (n + 1) 0.0 in
-        let stack = ref [ 0 ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | v :: rest ->
-              stack := rest;
-              List.iter
-                (fun c ->
-                  recreation.(c) <- recreation.(v) +. weights.(c).phi;
-                  stack := c :: !stack)
-                child_lists.(v)
-        done;
         Ok { parents; weights; child_lists; recreation }
-      end)
+      end
 
 let of_parent_edges ~n choices =
   if List.length choices <> n then

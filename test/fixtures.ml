@@ -102,21 +102,3 @@ let cost_gen seed =
   Cost_gen.generate ~jobs:1 h
     { Cost_gen.default_params with max_hops = 5; reveal_cap = 12 }
     (Prng.create ~seed)
-
-(* The graphs whose plans the golden files pin: the recipes, directed
-   and undirected, three plan-sweep graphs and 200 tie-heavy ones. *)
-let golden_graphs () =
-  let recipes =
-    List.concat_map
-      (fun (d : Recipes.dataset) ->
-        [ (d.id, d.aux); (d.id ^ "-undirected", (Recipes.undirected d).aux) ])
-      (Recipes.all ~scale:Recipes.Quick ~seed:1 ())
-  in
-  let sweeps =
-    List.map (fun s -> (Printf.sprintf "cost-gen-%d" s, cost_gen s)) [ 1; 2; 7919 ]
-  in
-  let rng = Prng.create ~seed:2015 in
-  let ties =
-    List.init 200 (fun i -> (Printf.sprintf "ties-%03d" i, tie_heavy rng))
-  in
-  recipes @ sweeps @ ties

@@ -60,7 +60,7 @@ let render_one (name, g) =
       in
       runs @ p5
 
-let render () = List.concat_map render_one (Fixtures.golden_graphs ())
+let render () = List.concat_map render_one (Test_mca_golden.cases ())
 
 let test_golden () =
   let expected =

@@ -7,7 +7,30 @@
    change to the MCA plans is intended. *)
 
 open Versioning_core
+open Versioning_workload
 module Prng = Versioning_util.Prng
+
+(* The graphs whose plans the golden files pin: the recipes, directed
+   and undirected, three plan-sweep graphs and 200 tie-heavy ones.
+   [test_lmg_golden.ml] grows its plans on the same graphs. *)
+let cases () =
+  let recipes =
+    List.concat_map
+      (fun (d : Recipes.dataset) ->
+        [ (d.id, d.aux); (d.id ^ "-undirected", (Recipes.undirected d).aux) ])
+      (Recipes.all ~scale:Recipes.Quick ~seed:1 ())
+  in
+  let sweeps =
+    List.map
+      (fun s -> (Printf.sprintf "cost-gen-%d" s, Fixtures.cost_gen s))
+      [ 1; 2; 7919 ]
+  in
+  let rng = Prng.create ~seed:2015 in
+  let ties =
+    List.init 200 (fun i ->
+        (Printf.sprintf "ties-%03d" i, Fixtures.tie_heavy rng))
+  in
+  recipes @ sweeps @ ties
 
 let render_one (name, g) =
   match Mca.solve g with
@@ -17,7 +40,7 @@ let render_one (name, g) =
         :: List.map (fun (p, _) -> string_of_int p) (Storage_graph.to_parents sg))
   | Error e -> name ^ " error: " ^ e
 
-let render () = List.map render_one (Fixtures.golden_graphs ())
+let render () = List.map render_one (cases ())
 
 let test_golden () =
   let expected =
