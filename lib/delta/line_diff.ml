@@ -7,8 +7,9 @@ type t = { script : op list }
 
 (* A document is its '\n'-separated pieces: n newlines yield n+1
    pieces, so a trailing newline is represented by a final empty piece
-   and [String.concat "\n"] is an exact inverse. *)
-let split_lines s = Array.of_list (String.split_on_char '\n' s)
+   and [join] is an exact inverse. *)
+let split s = Array.of_list (String.split_on_char '\n' s)
+let join lines = String.concat "\n" (Array.to_list lines)
 
 (* The one Myers-op -> [op] mapping; [line i] is the target's line [i]. *)
 let of_myers ~line raw =
@@ -23,7 +24,7 @@ let of_myers ~line raw =
   { script }
 
 let diff a b =
-  let la = split_lines a and lb = split_lines b in
+  let la = split a and lb = split b in
   of_myers ~line:(Array.get lb) (Myers.diff ~equal:String.equal la lb)
 
 (* [ids.(u)] is document [u]'s lines as ids into [text]. Interning is
@@ -45,36 +46,51 @@ let intern docs =
         incr next;
         i
   in
-  let ids = Array.map (fun d -> Array.map id (split_lines d)) docs in
+  let ids = Array.map (fun d -> Array.map id (split d)) docs in
   { ids; text = Array.of_list (List.rev !text) }
 
 let diff_in { ids; text } u v =
   let lb = ids.(v) in
   of_myers ~line:(fun i -> text.(lb.(i))) (Myers.diff ~equal:Int.equal ids.(u) lb)
 
-let apply a { script } =
-  let la = split_lines a in
-  let out = ref [] in
-  let pos = ref 0 in
+let apply_lines la { script } =
+  let n = Array.length la in
+  let too_short () = invalid_arg "Line_diff.apply: source too short" in
+  (* Check the script against [la] and size the output before
+     allocating it, so a corrupt count fails as a short source. [k > n
+     - pos] cannot overflow: counts are non-negative and [pos <= n]. *)
+  let pos = ref 0 and len = ref 0 in
   List.iter
-    (fun op ->
-      match op with
+    (function
       | Keep k ->
-          if !pos + k > Array.length la then
-            invalid_arg "Line_diff.apply: source too short";
-          for i = !pos to !pos + k - 1 do
-            out := la.(i) :: !out
-          done;
-          pos := !pos + k
+          if k > n - !pos then too_short ();
+          pos := !pos + k;
+          len := !len + k
       | Delete k ->
-          if !pos + k > Array.length la then
-            invalid_arg "Line_diff.apply: source too short";
+          if k > n - !pos then too_short ();
           pos := !pos + k
-      | Insert lines -> Array.iter (fun l -> out := l :: !out) lines)
+      | Insert lines -> len := !len + Array.length lines)
     script;
-  if !pos <> Array.length la then
+  if !pos <> n then
     invalid_arg "Line_diff.apply: script does not consume the whole source";
-  String.concat "\n" (List.rev !out)
+  let out = Array.make !len "" in
+  pos := 0;
+  len := 0;
+  List.iter
+    (function
+      | Keep k ->
+          Array.blit la !pos out !len k;
+          pos := !pos + k;
+          len := !len + k
+      | Delete k -> pos := !pos + k
+      | Insert lines ->
+          let k = Array.length lines in
+          Array.blit lines 0 out !len k;
+          len := !len + k)
+    script;
+  out
+
+let apply a d = join (apply_lines (split a) d)
 
 let ops { script } = script
 
@@ -98,7 +114,7 @@ let invert_with ~line { script } =
   { script = inv }
 
 let invert a t =
-  let la = split_lines a in
+  let la = split a in
   invert_with ~line:(Array.get la) t
 
 let n_changed_lines { script } =

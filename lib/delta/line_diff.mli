@@ -45,10 +45,26 @@ val diff_in : lines -> int -> int -> t
     {!diff} for a single pair: interning two documents costs more than
     it saves. *)
 
+val split : string -> string array
+(** A document's lines: its ['\n']-separated pieces, so [n] newlines
+    give [n + 1] lines and a trailing newline is a final empty line. *)
+
+val join : string array -> string
+(** Inverse of {!split}: [join (split s) = s]. *)
+
+val apply_lines : string array -> t -> string array
+(** [apply_lines (split a) d] is [split b]. Kept lines are shared with
+    the source array, not copied, so a chain of deltas replays on one
+    document's lines: {!split} the base once, apply each delta, and
+    {!join} once at the end — the cost of a step is the line count
+    plus the inserted lines, not the document's bytes. @raise
+    Invalid_argument when the source is not the document the delta
+    was built against (detected by script overrun; content drift on
+    equal shape is not detectable), before anything is allocated. *)
+
 val apply : string -> t -> string
-(** [apply a d] reconstructs [b]. @raise Invalid_argument when [a] is
-    not the document the delta was built against (detected by script
-    overrun; content drift on equal shape is not detectable). *)
+(** [apply a d] reconstructs [b]: [join (apply_lines (split a) d)],
+    raising as {!apply_lines} does. *)
 
 val ops : t -> op list
 (** The script, for inspection. *)

@@ -373,18 +373,20 @@ let chain t stored ~cached version =
   in
   walk version [] 0
 
-(* One stored delta applied to its base's content; a script that does
-   not fit the base is an [Error], not an exception. *)
+(* Repo's one apply site: a stored delta decoded and applied to its
+   base's lines ([Line_diff.split]); a script that does not fit the
+   base, or does not parse, is an [Error], not an exception. *)
 let apply_delta base encoded =
-  match Line_diff.apply base (Line_diff.decode encoded) with
-  | c -> Ok c
+  match Line_diff.apply_lines base (Line_diff.decode encoded) with
+  | lines -> Ok lines
   | exception Invalid_argument e -> Error e
 
 (* Rebuild a walk's content: read the base unless it was cached, then
-   replay the deltas forward. [bytes], when given, accumulates the
-   logical size of every object read — the observed recreation cost
-   the telemetry ledger records. Callers pass it only while the Obs
-   gate is on, so the plain path does no extra work. *)
+   replay the deltas forward on its lines — split once, joined once; a
+   walk without deltas returns the base itself. [bytes], when given,
+   accumulates the logical size of every object read — the observed
+   recreation cost the telemetry ledger records. Callers pass it only
+   while the Obs gate is on, so the plain path does no extra work. *)
 let replay ?bytes t (base, deltas) =
   let get digest =
     let* encoded = Object_store.get t.store digest in
@@ -394,12 +396,19 @@ let replay ?bytes t (base, deltas) =
     Ok encoded
   in
   let* base = match base with `Content c -> Ok c | `Digest d -> get d in
-  List.fold_left
-    (fun acc digest ->
-      let* content = acc in
-      let* encoded = get digest in
-      apply_delta content encoded)
-    (Ok base) deltas
+  match deltas with
+  | [] -> Ok base
+  | deltas ->
+      let* lines =
+        List.fold_left
+          (fun acc digest ->
+            let* lines = acc in
+            let* encoded = get digest in
+            apply_delta lines encoded)
+          (Ok (Line_diff.split base))
+          deltas
+      in
+      Ok (Line_diff.join lines)
 
 (* One version under a given plan, cache-free: reads every object
    along its chain. [checkout_uncached], [repair] and an import parent
@@ -484,19 +493,32 @@ let materialize_all t stored ~get f =
       | Full _ -> ())
     stored;
   let reached = Hashtbl.create 64 in
-  let rec visit v result =
+  (* [lines] is [content]'s lines, which the children's deltas apply
+     to: a root splits once, and each version joins once for [f]. *)
+  let rec visit v content lines =
     Hashtbl.replace reached v ();
-    f v result;
-    List.iter
-      (fun (c, d) ->
-        visit c
-          (let* base = result in
-           let* encoded = get d in
-           apply_delta base encoded))
-      (List.rev (Hashtbl.find_all children v))
+    f v content;
+    match List.rev (Hashtbl.find_all children v) with
+    | [] -> ()
+    | kids ->
+        let lines = Lazy.force lines in
+        List.iter
+          (fun (c, d) ->
+            let child =
+              let* base = lines in
+              let* encoded = get d in
+              apply_delta base encoded
+            in
+            visit c (Result.map Line_diff.join child) (Lazy.from_val child))
+          kids
   in
   IM.iter
-    (fun v s -> match s with Full d -> visit v (get d) | Delta_from _ -> ())
+    (fun v s ->
+      match s with
+      | Full d ->
+          let content = get d in
+          visit v content (lazy (Result.map Line_diff.split content))
+      | Delta_from _ -> ())
     stored;
   IM.iter
     (fun v _ -> if not (Hashtbl.mem reached v) then f v (rebuild t stored v))
@@ -1429,16 +1451,15 @@ let recoverable_contents t =
               match Hashtbl.find_opt recovered p with
               | None -> ()
               | Some base -> (
-                  match Object_store.get t.store d with
-                  | Error _ -> ()
-                  | Ok encoded -> (
-                      match
-                        Line_diff.apply base (Line_diff.decode encoded)
-                      with
-                      | c ->
-                          Hashtbl.replace recovered v c;
-                          progress := true
-                      | exception Invalid_argument _ -> ()))))
+                  let applied =
+                    let* encoded = Object_store.get t.store d in
+                    apply_delta (Line_diff.split base) encoded
+                  in
+                  match applied with
+                  | Ok lines ->
+                      Hashtbl.replace recovered v (Line_diff.join lines);
+                      progress := true
+                  | Error _ -> ())))
       entries
   done;
   recovered

@@ -55,7 +55,13 @@ let test_apply_wrong_source () =
   Alcotest.(check bool) "wrong source rejected" true
     (match Line_diff.apply "a" d with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* a count that would overflow [pos + k] is still a short source *)
+  Alcotest.check_raises "overflowing count"
+    (Invalid_argument "Line_diff.apply: source too short") (fun () ->
+      ignore
+        (Line_diff.apply "a\nb\nc"
+           (Line_diff.decode (Printf.sprintf "K 1\nD %d\nD %d\nK 3\n" max_int max_int))))
 
 let test_size_positive () =
   let d = Line_diff.diff "a\nb" "a\nc" in
@@ -144,6 +150,94 @@ let qcheck_interned =
       done;
       true)
 
+(* ---- replay on line arrays ----
+
+   The list-based [apply] that replay used before it ran on line
+   arrays, kept as the reference: the array replay must give the same
+   documents and raise the same [Invalid_argument] text. *)
+let ref_apply a d =
+  let la = Array.of_list (String.split_on_char '\n' a) in
+  let out = ref [] and pos = ref 0 in
+  List.iter
+    (function
+      | Line_diff.Keep k ->
+          if !pos + k > Array.length la then
+            invalid_arg "Line_diff.apply: source too short";
+          for i = !pos to !pos + k - 1 do
+            out := la.(i) :: !out
+          done;
+          pos := !pos + k
+      | Line_diff.Delete k ->
+          if !pos + k > Array.length la then
+            invalid_arg "Line_diff.apply: source too short";
+          pos := !pos + k
+      | Line_diff.Insert lines -> Array.iter (fun l -> out := l :: !out) lines)
+    (Line_diff.ops d);
+  if !pos <> Array.length la then
+    invalid_arg "Line_diff.apply: script does not consume the whole source";
+  String.concat "\n" (List.rev !out)
+
+let outcome f = match f () with r -> Ok r | exception Invalid_argument e -> Error e
+
+let print_outcome = function
+  | Ok s -> "Ok " ^ String.escaped s
+  | Error e -> "Error " ^ e
+
+(* [docs] as a chain a₀…a_k: each stored delta goes through the codec,
+   as the store's do. *)
+let qcheck_replay_lines =
+  QCheck.Test.make ~count:300
+    ~name:"chain replay on lines = string fold = reference, errors included"
+    (QCheck.make ~print:print_docs gen_docs)
+    (fun docs ->
+      let n = Array.length docs in
+      Array.iter
+        (fun a ->
+          if Line_diff.join (Line_diff.split a) <> a then
+            QCheck.Test.fail_reportf "join . split <> id on %S" a)
+        docs;
+      let deltas =
+        List.init (n - 1) (fun i ->
+            Line_diff.decode (Line_diff.encode (Line_diff.diff docs.(i) docs.(i + 1))))
+      in
+      let by_lines =
+        Line_diff.join
+          (List.fold_left Line_diff.apply_lines (Line_diff.split docs.(0)) deltas)
+      in
+      let by_strings = List.fold_left Line_diff.apply docs.(0) deltas in
+      let by_ref = List.fold_left ref_apply docs.(0) deltas in
+      if by_lines <> docs.(n - 1) || by_strings <> by_lines || by_ref <> by_lines then
+        QCheck.Test.fail_reportf "chain end %S: lines %S, strings %S, reference %S"
+          docs.(n - 1) by_lines by_strings by_ref;
+      (* every delta against every other document of the chain, one with
+         an extra line (which must fail) and, when there is one to
+         drop, one without its last line *)
+      List.iteri
+        (fun i d ->
+          let base = docs.(i) in
+          let shorter =
+            match String.rindex_opt base '\n' with
+            | Some k -> [ String.sub base 0 k ]
+            | None -> []
+          in
+          List.iter
+            (fun b ->
+              let expected = outcome (fun () -> ref_apply b d) in
+              let by_lines =
+                outcome (fun () -> Line_diff.join (Line_diff.apply_lines (Line_diff.split b) d))
+              in
+              let by_string = outcome (fun () -> Line_diff.apply b d) in
+              if by_lines <> expected || by_string <> expected then
+                QCheck.Test.fail_reportf "delta %d on %S: reference %s, lines %s, apply %s" i b
+                  (print_outcome expected) (print_outcome by_lines)
+                  (print_outcome by_string))
+            ((base ^ "\nx") :: shorter @ Array.to_list docs);
+          match Line_diff.apply (base ^ "\nx") d with
+          | _ -> QCheck.Test.fail_reportf "delta %d fits a longer base" i
+          | exception Invalid_argument _ -> ())
+        deltas;
+      true)
+
 let suite =
   [
     Alcotest.test_case "roundtrip basic" `Quick test_roundtrip_basic;
@@ -157,4 +251,5 @@ let suite =
     Alcotest.test_case "sizes" `Quick test_size_positive;
     Alcotest.test_case "random roundtrips" `Quick test_random_roundtrips;
     QCheck_alcotest.to_alcotest qcheck_interned;
+    QCheck_alcotest.to_alcotest qcheck_replay_lines;
   ]

@@ -278,8 +278,111 @@ let test_read_once () =
   check_once "optimize reads each digest once per pass" gets
     (List.map (fun d -> (d, count d)) (uniq (old_digests @ new_digests)))
 
+(* ---- checkout paths ----
+
+   The cached checkout starts its replay from the stored full object
+   (cold), from a cached ancestor's content (partial hit) or returns
+   the cached content (pure hit). All three must give the same bytes
+   as a cache-free rebuild. *)
+
+let cache_moves repo f =
+  let (before : Repo.cache_stats) = Repo.cache_stats repo in
+  let r = f () in
+  let after = Repo.cache_stats repo in
+  ( r,
+    ( after.hits - before.hits,
+      after.partial_hits - before.partial_hits,
+      after.misses - before.misses ) )
+
+let test_checkout_paths () =
+  with_repo @@ fun repo ->
+  ignore (ok (Repo.import_versions repo history));
+  (* child -> its delta's base *)
+  let parents =
+    List.filter_map
+      (fun (p, c) -> if p = 0 then None else Some (c, p))
+      (Repo.storage_parents repo)
+  in
+  let clear () =
+    Repo.set_cache_slots repo 0;
+    Repo.set_cache_slots repo Repo.default_cache_slots
+  in
+  let moves = Alcotest.(pair string (triple int int int)) in
+  List.iteri
+    (fun i (_, _, expected) ->
+      let v = i + 1 in
+      let what path = Printf.sprintf "version %d, %s" v path in
+      Alcotest.(check string) (what "uncached") expected (ok (Repo.checkout_uncached repo v));
+      clear ();
+      let r, m = cache_moves repo (fun () -> ok (Repo.checkout repo v)) in
+      Alcotest.check moves (what "cold") (expected, (0, 0, 1)) (r, m);
+      (match List.assoc_opt v parents with
+      | None -> ()
+      | Some p ->
+          clear ();
+          ignore (ok (Repo.checkout repo p));
+          let r, m = cache_moves repo (fun () -> ok (Repo.checkout repo v)) in
+          Alcotest.check moves (what "partial hit") (expected, (0, 1, 0)) (r, m));
+      let r, m = cache_moves repo (fun () -> ok (Repo.checkout repo v)) in
+      Alcotest.check moves (what "pure hit") (expected, (1, 0, 0)) (r, m))
+    history;
+  Alcotest.(check bool) "some version has a delta parent" true (parents <> [])
+
+(* A stored delta that does not fit its base, or does not parse, is an
+   [Error] from checkout, verify and fsck — with these messages — and
+   repair cannot recover its version. *)
+let test_misfit_is_error () =
+  let store = Object_store.memory () and path = temp_dir () in
+  let repo = ok (Repo.init_with ~store ~path) in
+  let put payload = ok (Object_store.put store payload) in
+  let delta a b = put (Line_diff.encode (Line_diff.diff a b)) in
+  let stored =
+    IM.of_seq
+      (List.to_seq
+         [
+           (1, Meta.Full (put "a\nb\nc"));
+           (2, Meta.Delta_from (1, delta "a\nb" "a\nB"));
+           (3, Meta.Delta_from (1, delta "a\nb\nc\nd" "a"));
+           (4, Meta.Delta_from (1, put "not a script"));
+         ])
+  in
+  let meta =
+    { Meta.empty with stored; next_id = 5; generation = Repo.generation repo + 1 }
+  in
+  ignore (ok (Repo.adopt_meta repo (Meta.render meta)));
+  let errors =
+    [
+      (2, "Line_diff.apply: script does not consume the whole source");
+      (3, "Line_diff.apply: source too short");
+      (4, "Line_diff.decode: bad header");
+    ]
+  in
+  let problems =
+    List.map (fun (v, e) -> Printf.sprintf "version %d: checkout failed (%s)" v e) errors
+  in
+  List.iter
+    (fun (v, e) ->
+      Alcotest.(check (result string string))
+        (Printf.sprintf "checkout %d" v) (Error e) (Repo.checkout repo v);
+      Alcotest.(check (result string string))
+        (Printf.sprintf "uncached checkout %d" v) (Error e) (Repo.checkout_uncached repo v))
+    errors;
+  Alcotest.(check (result unit (list string))) "verify" (Error problems) (Repo.verify repo);
+  Repo.close repo;
+  let fsck ~repair = ok (Repo.fsck_with ~store ~path ~repair) in
+  Alcotest.(check (list string)) "fsck" problems (fsck ~repair:false).problems;
+  let repaired = fsck ~repair:true in
+  Alcotest.(check (list string)) "fsck --repair: unrecoverable"
+    (List.map (fun (v, _) -> Printf.sprintf "version %d is unrecoverable" v) errors)
+    repaired.actions;
+  Alcotest.(check (list string)) "fsck --repair: still failing" problems repaired.problems
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_walk_equivalent;
     Alcotest.test_case "each pass reads each object once" `Quick test_read_once;
+    Alcotest.test_case "cold, partial and pure-hit checkouts agree" `Quick
+      test_checkout_paths;
+    Alcotest.test_case "a misfit delta is an error, not an exception" `Quick
+      test_misfit_is_error;
   ]
