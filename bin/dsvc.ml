@@ -338,7 +338,7 @@ let build_cluster ~dir ~self ~peers ~replicas =
   let peer_clients =
     List.map
       (fun ep ->
-        let host, port = or_die (VS.Cluster_client.parse_endpoint ep) in
+        let host, port = or_die (VS.Client.parse_endpoint ep) in
         let c = VS.Client.connect ~timeout:5.0 ~retries:2 ~host ~port () in
         (VS.Client.endpoint c, c))
       peers
@@ -988,58 +988,19 @@ let remote_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"ACTION"
-          ~doc:"One of: log, checkout NAME [FILE], commit FILE [MSG],                 stats, optimize STRATEGY, verify, health, anti-entropy.")
+          ~doc:"One of: log, checkout NAME [FILE], commit FILE [MSG], stats, optimize STRATEGY, verify, health, anti-entropy.")
   in
   let rest = Arg.(value & pos_right 0 string [] & info [] ~docv:"ARGS") in
   let run host port action rest peers =
     let module C = Versioning_store.Client in
-    let module CC = Versioning_store.Cluster_client in
     (* With --peers the client fails over across the listed endpoints
        (transport errors only); host/port become the first endpoint. *)
-    let cluster =
-      or_die (CC.connect (Printf.sprintf "%s:%d" host port :: peers))
+    let client =
+      if peers = [] then C.connect ~host ~port ()
+      else or_die (C.connect_many (Printf.sprintf "%s:%d" host port :: peers))
     in
-    let client = Versioning_store.Client.connect ~host ~port () in
-    let use_cluster = peers <> [] in
+    let print_fields = List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v) in
     match (action, rest) with
-    | "health", [] ->
-        List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v)
-          (or_die (if use_cluster then CC.health cluster else C.health client))
-    | "anti-entropy", [] ->
-        List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v)
-          (or_die
-             (if use_cluster then CC.anti_entropy cluster
-              else C.anti_entropy client))
-    | _ when use_cluster -> (
-        match (action, rest) with
-        | "log", [] ->
-            Printf.eprintf "dsvc remote: log is not available with --peers\n";
-            exit 1
-        | "checkout", [ name ] ->
-            print_string (or_die (CC.checkout cluster name))
-        | "checkout", [ name; file ] ->
-            let content = or_die (CC.checkout cluster name) in
-            or_die (Fsutil.write_file file content);
-            Printf.printf "%s -> %s (%d bytes)\n" name file
-              (String.length content)
-        | "commit", file :: msg_parts ->
-            let content = or_die (read_file file) in
-            let message = String.concat " " msg_parts in
-            let id = or_die (CC.commit cluster ~message content) in
-            Printf.printf "committed as version %d\n" id
-        | "stats", [] ->
-            List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v)
-              (or_die (CC.stats cluster))
-        | "optimize", [ strategy ] ->
-            List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v)
-              (or_die (CC.optimize cluster strategy))
-        | "verify", [] ->
-            or_die (CC.verify cluster);
-            print_endline "remote repository is consistent"
-        | _ ->
-            Printf.eprintf "dsvc remote: unknown action %s %s\n" action
-              (String.concat " " rest);
-            exit 1)
     | "log", [] ->
         List.iter
           (fun (id, parents, msg) ->
@@ -1059,15 +1020,14 @@ let remote_cmd =
         let message = String.concat " " msg_parts in
         let id = or_die (C.commit client ~message content) in
         Printf.printf "committed as version %d\n" id
-    | "stats", [] ->
-        List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v)
-          (or_die (C.stats client))
+    | "stats", [] -> print_fields (or_die (C.stats client))
     | "optimize", [ strategy ] ->
-        List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v)
-          (or_die (C.optimize client strategy))
+        print_fields (or_die (C.optimize client strategy))
     | "verify", [] ->
         or_die (C.verify client);
         print_endline "remote repository is consistent"
+    | "health", [] -> print_fields (or_die (C.health client))
+    | "anti-entropy", [] -> print_fields (or_die (C.anti_entropy client))
     | _ ->
         Printf.eprintf "dsvc remote: unknown action %s %s\n" action
           (String.concat " " rest);

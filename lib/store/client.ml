@@ -2,6 +2,7 @@ module Retry = Versioning_util.Retry
 module Metrics = Versioning_obs.Metrics
 module Trace = Versioning_obs.Trace
 module Context = Versioning_obs.Context
+module Evloop = Versioning_util.Evloop
 
 let log_src = Logs.Src.create "dsvc.client" ~doc:"dsvc HTTP client"
 
@@ -11,26 +12,73 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    once releases everything. *)
 type conn_state = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
-type t = {
+(* One server and its kept-alive connection. [name] is "host:port",
+   the server's name on the {!Ring} and in the {!Detector}. *)
+type endpoint = {
   host : string;
   port : int;
-  timeout : float;
-  retries : int;
-  keepalive : bool;
-  lock : Mutex.t;  (* serializes the exchange and guards [cached] *)
+  name : string;
   mutable cached : conn_state option;
 }
 
-let connect ?(timeout = 10.0) ?(retries = 3) ?(keepalive = true) ~host ~port () =
-  { host; port; timeout; retries; keepalive; lock = Mutex.create (); cached = None }
+type t = {
+  endpoints : endpoint list;  (* never empty; in configured order *)
+  detector : Detector.t option;  (* None: one endpoint, no failover *)
+  timeout : float;
+  retries : int;
+  keepalive : bool;
+  lock : Mutex.t;  (* serializes the exchange and guards every [cached] *)
+}
+
+let endpoint_of host port =
+  { host; port; name = Printf.sprintf "%s:%d" host port; cached = None }
+
+let make ?(timeout = 10.0) ?(retries = 3) ?(keepalive = true) endpoints
+    detector =
+  { endpoints; detector; timeout; retries; keepalive; lock = Mutex.create () }
+
+let connect ?timeout ?retries ?keepalive ~host ~port () =
+  make ?timeout ?retries ?keepalive [ endpoint_of host port ] None
+
+let parse_endpoint s =
+  match String.rindex_opt s ':' with
+  | None -> Error (Printf.sprintf "bad endpoint %S (want host:port)" s)
+  | Some i -> (
+      let host = String.sub s 0 i in
+      let port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some port when host <> "" && port > 0 && port < 65536 ->
+          Ok (host, port)
+      | _ -> Error (Printf.sprintf "bad endpoint %S (want host:port)" s))
+
+let connect_many ?timeout ?retries ?detector names =
+  let rec build acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: rest -> (
+        match parse_endpoint s with
+        | Error _ as e -> e
+        | Ok (host, port) -> build (endpoint_of host port :: acc) rest)
+  in
+  if names = [] then Error "no endpoints given"
+  else
+    Result.map
+      (fun endpoints ->
+        let detector =
+          match detector with Some d -> d | None -> Detector.create ()
+        in
+        make ?timeout ?retries endpoints (Some detector))
+      (build [] names)
 
 let close t =
   Mutex.lock t.lock;
-  (match t.cached with
-  | None -> ()
-  | Some c ->
-      t.cached <- None;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ()));
+  List.iter
+    (fun ep ->
+      match ep.cached with
+      | None -> ()
+      | Some c ->
+          ep.cached <- None;
+          (try Unix.close c.fd with Unix.Unix_error _ -> ()))
+    t.endpoints;
   Mutex.unlock t.lock
 
 (* Numeric address or DNS name — the paper's client/server model
@@ -103,14 +151,37 @@ let record_conn mode =
     ~labels:[ ("mode", mode) ]
     ~help:"TCP connections used by the HTTP client, by mode (new/reused)"
 
-(* A cached connection is only trusted if nothing is readable on it:
+(* A cached connection is only trusted if nothing is pending on it:
    readable-while-idle means the server closed it (EOF pending) or the
-   framing is out of sync — either way it is dead to us. *)
+   framing is out of sync — either way it is dead to us. poll(2), not
+   select(2): select fails on descriptors past FD_SETSIZE, which would
+   make every connection of a busy process look dead. *)
 let conn_alive c =
-  match Unix.select [ c.fd ] [] [] 0.0 with
-  | [], _, _ -> true
-  | _ -> false
+  match Evloop.input_pending c.fd with
+  | pending -> not pending
   | exception Unix.Unix_error _ -> false
+
+(* A failed attempt as a typed error. [transient] says whether the
+   failure itself may clear up; whether a retry is safe also depends on
+   whether the request was [sent] and on the method. A failure on a
+   [reused] connection is [Stale_connection], reported with
+   [reused_message]. *)
+let failed ~meth ~sent ~reused ~transient message reused_message =
+  Error
+    (if reused then
+       {
+         kind = Stale_connection;
+         transient = transient && idempotent meth;
+         message = reused_message;
+         stage = "reuse";
+       }
+     else
+       {
+         kind = (if sent then Io else Connect);
+         transient = transient && ((not sent) || idempotent meth);
+         message;
+         stage = (if sent then "io" else "connect");
+       })
 
 let fresh_conn t addr =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -130,8 +201,8 @@ let fresh_conn t addr =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       raise e
 
-let attempt t ~ctx ~meth ~path ~query ~body =
-  match resolve_addr t.host t.port with
+let attempt t ep ~ctx ~meth ~path ~query ~body =
+  match resolve_addr ep.host ep.port with
   | Error message ->
       Error { kind = Resolve; transient = false; message; stage = "resolve" }
   | Ok addr -> (
@@ -145,9 +216,9 @@ let attempt t ~ctx ~meth ~path ~query ~body =
       let reused = ref false in
       try
         let c =
-          match t.cached with
+          match ep.cached with
           | Some c ->
-              t.cached <- None;
+              ep.cached <- None;
               if conn_alive c then begin
                 reused := true;
                 record_conn "reused";
@@ -182,7 +253,7 @@ let attempt t ~ctx ~meth ~path ~query ~body =
                "%s %s HTTP/1.1\r\nHost: %s\r\nConnection: %s\r\n\
                 Traceparent: %s\r\nX-Dsvc-Request-Id: %s\r\n\
                 Content-Length: %d\r\n\r\n%s"
-               meth target t.host
+               meth target ep.host
                (if t.keepalive then "keep-alive" else "close")
                traceparent ctx.Context.request_id (String.length body) body);
           flush c.oc;
@@ -251,7 +322,7 @@ let attempt t ~ctx ~meth ~path ~query ~body =
         in
         (match exchange () with
         | status, body, keep ->
-            if keep then t.cached <- Some c
+            if keep then ep.cached <- Some c
             else (try Unix.close c.fd with Unix.Unix_error _ -> ());
             Ok (status, body)
         | exception e ->
@@ -260,91 +331,28 @@ let attempt t ~ctx ~meth ~path ~query ~body =
       with
       | Unix.Unix_error (err, fn, _) ->
           let message = Printf.sprintf "%s: %s" fn (Unix.error_message err) in
-          if !reused then
-            Error
-              {
-                kind = Stale_connection;
-                transient = transient_unix_error err && idempotent meth;
-                message = "reused connection failed: " ^ message;
-                stage = "reuse";
-              }
-          else
-            Error
-              {
-                kind = (if !sent then Io else Connect);
-                transient =
-                  transient_unix_error err && ((not !sent) || idempotent meth);
-                message;
-                stage = (if !sent then "io" else "connect");
-              }
+          failed ~meth ~sent:!sent ~reused:!reused
+            ~transient:(transient_unix_error err) message
+            ("reused connection failed: " ^ message)
       | Failure e | Sys_error e ->
-          if !reused then
-            Error
-              {
-                kind = Stale_connection;
-                transient = idempotent meth;
-                message = "reused connection failed: " ^ e;
-                stage = "reuse";
-              }
-          else
-            Error
-              {
-                kind = Io;
-                transient = idempotent meth;
-                message = e;
-                stage = (if !sent then "io" else "connect");
-              }
+          failed ~meth ~sent:!sent ~reused:!reused ~transient:true e
+            ("reused connection failed: " ^ e)
       | End_of_file ->
-          if !reused then
-            Error
-              {
-                kind = Stale_connection;
-                transient = idempotent meth;
-                message = "reused connection closed mid-response";
-                stage = "reuse";
-              }
-          else
-            Error
-              {
-                kind = Io;
-                transient = idempotent meth;
-                message = "unexpected end of response";
-                stage = "io";
-              }
+          failed ~meth ~sent:!sent ~reused:!reused ~transient:true
+            "unexpected end of response"
+            "reused connection closed mid-response"
       | Sys_blocked_io ->
           (* SO_RCVTIMEO expiring under a buffered channel read raises
              Sys_blocked_io, not Unix_error EAGAIN — same transport
              timeout, same mapping (a raw exception here would crash
              the failover path instead of trying the next node) *)
-          if !reused then
-            Error
-              {
-                kind = Stale_connection;
-                transient = idempotent meth;
-                message = "reused connection timed out mid-response";
-                stage = "reuse";
-              }
-          else
-            Error
-              {
-                kind = Io;
-                transient = idempotent meth;
-                message = "response timed out";
-                stage = (if !sent then "io" else "connect");
-              })
+          failed ~meth ~sent:!sent ~reused:!reused ~transient:true
+            "response timed out" "reused connection timed out mid-response")
 
-let request_detailed t ~meth ~path ?(query = []) ?(body = "") () =
-  (* One trace context per operation: reuse the caller's ambient
-     context when there is one (so a caller-held context shows up in
-     the server's access log), otherwise mint a fresh one. Retries
-     share the context — the same request id across attempts is what
-     lets the server log tie them together. *)
-  let ctx =
-    match Context.current () with Some c -> c | None -> Context.make ()
-  in
-  Context.with_context ctx @@ fun () ->
-  Trace.with_span "client.request" @@ fun () ->
-  let policy = { Retry.default with max_attempts = max 1 t.retries } in
+(* One endpoint's share of a request: up to [attempts] attempts with
+   backoff, then the per-status counter. *)
+let on_endpoint t ep ~ctx ~attempts ~meth ~path ~query ~body =
+  let policy = { Retry.default with max_attempts = max 1 attempts } in
   (* lint: mutable-ok last failure's stage, read only by the retry
      metrics callback below *)
   let last_stage = ref "connect" in
@@ -359,7 +367,7 @@ let request_detailed t ~meth ~path ?(query = []) ?(body = "") () =
             m "retrying %s %s after attempt %d (sleeping %.3fs)" meth path
               attempt delay))
       (fun ~attempt:_ ->
-        match attempt t ~ctx ~meth ~path ~query ~body with
+        match attempt t ep ~ctx ~meth ~path ~query ~body with
         | Error f as e ->
             last_stage := f.stage;
             e
@@ -379,6 +387,61 @@ let request_detailed t ~meth ~path ?(query = []) ?(body = "") () =
       ]
     ~help:"HTTP client requests, by method and response status";
   result
+
+(* Failover order: Up endpoints in configured order, then expired
+   probations, and — only when nothing better exists — endpoints still
+   in probation, because a request against a truly dead node costs a
+   connect timeout. *)
+let candidates detector endpoints =
+  let ranked state =
+    List.filter
+      (fun ep -> Detector.state detector ~name:ep.name = state)
+      endpoints
+  in
+  ranked `Up @ ranked `Probe @ ranked `Down
+
+(* [attempts] is the per-endpoint budget: [t.retries] for requests,
+   1 for [ping]. *)
+let send t ~attempts ~meth ~path ?(query = []) ?(body = "") () =
+  (* One trace context per operation: reuse the caller's ambient
+     context when there is one (so a caller-held context shows up in
+     the server's access log), otherwise mint a fresh one. Retries
+     and failovers share the context — the same request id across
+     attempts is what lets the server logs tie them together. *)
+  let ctx =
+    match Context.current () with Some c -> c | None -> Context.make ()
+  in
+  Context.with_context ctx @@ fun () ->
+  Trace.with_span "client.request" @@ fun () ->
+  let run ep = on_endpoint t ep ~ctx ~attempts ~meth ~path ~query ~body in
+  match t.detector with
+  | None -> run (List.hd t.endpoints)
+  | Some detector ->
+      (* Move on ONLY after a transport failure (no HTTP status came
+         back): an HTTP error is the cluster answering, and re-sending
+         a mutation elsewhere could apply it twice (DESIGN.md §12). *)
+      let rec go = function
+        | [] -> invalid_arg "Client: no endpoints"
+        | ep :: rest -> (
+            match run ep with
+            | Ok _ as ok ->
+                Detector.ok detector ~name:ep.name;
+                ok
+            | Error e as failure ->
+                Detector.fail detector ~name:ep.name e.message;
+                Metrics.counter "dsvc_cluster_client_failover_total"
+                  ~labels:[ ("from", ep.name) ]
+                  ~help:
+                    "Requests moved to another endpoint after a transport \
+                     error";
+                Log.warn (fun m ->
+                    m "failover: %s %s on %s failed (%s), trying next" meth
+                      path ep.name e.message);
+                if rest = [] then failure else go rest)
+      in
+      go (candidates detector t.endpoints)
+
+let request_detailed t = send t ~attempts:t.retries
 
 let request t ~meth ~path ?query ?body () =
   Result.map_error
@@ -466,7 +529,7 @@ let verify t =
 
 (* ---- cluster support ---- *)
 
-let endpoint t = Printf.sprintf "%s:%d" t.host t.port
+let endpoint t = (List.hd t.endpoints).name
 
 let health t = Result.map kv_body (expect_ok t ~meth:"GET" ~path:"/health" ())
 
@@ -474,10 +537,10 @@ let health t = Result.map kv_body (expect_ok t ~meth:"GET" ~path:"/health" ())
    that silently retried would hide exactly the flakiness the
    detector exists to measure. *)
 let ping t =
-  match request { t with retries = 1 } ~meth:"GET" ~path:"/health" () with
+  match send t ~attempts:1 ~meth:"GET" ~path:"/health" () with
   | Ok (s, _) when s >= 200 && s < 300 -> Ok ()
   | Ok (s, body) -> Error (Printf.sprintf "health %d: %s" s (String.trim body))
-  | Error _ as e -> e
+  | Error e -> Error e.message
 
 let get_blob t digest =
   expect_ok t ~meth:"GET" ~path:(path_of [ "blob"; digest ]) ()

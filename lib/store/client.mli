@@ -2,12 +2,13 @@
     paper's client–server prototype (its client was a separate
     program; this one is a typed OCaml API over {!Server}'s routes).
 
-    Connections are persistent (HTTP/1.1 keep-alive): each client
-    caches one open connection and reuses it across requests,
-    reconnecting transparently when the server has closed it in the
-    meantime. Non-2xx responses surface as [Error] with the server's
-    message. A client is safe to share between threads — requests
-    serialize on an internal lock.
+    A client talks to one endpoint ({!connect}) or fails over across
+    several ({!connect_many}). Connections are persistent (HTTP/1.1
+    keep-alive): a client caches one open connection per endpoint and
+    reuses it across requests, reconnecting transparently when the
+    server has closed it in the meantime. Non-2xx responses surface as
+    [Error] with the server's message. A client is safe to share
+    between threads — requests serialize on an internal lock.
 
     Resilience: sockets carry send/receive timeouts; transient
     transport failures (connection refused/reset, timeouts) are
@@ -43,9 +44,45 @@ val connect :
     between requests — pass [false] to force one connection per
     request (the pre-event-loop behaviour). *)
 
+(** {2 Failover across endpoints}
+
+    A client built by {!connect_many} holds one endpoint per
+    ["host:port"] and a {!Detector}. Each request first runs the
+    one-endpoint attempt-and-retry above against the first usable
+    endpoint — Up endpoints in configured order, then expired
+    probations, then, only as a last resort, endpoints still in
+    probation — and moves to the next endpoint {e only} when that ends
+    in a transport failure, with no HTTP status back. An HTTP error
+    (404/409/500) is the cluster answering and is returned as-is:
+    re-sending a mutation to a second node on a semantic error could
+    apply it twice against staler metadata.
+
+    A node killed after applying a commit but before responding does
+    force a re-send elsewhere; contents are content-addressed and
+    metadata adoption is generation-gated, so the worst case is a
+    duplicate version entry — never divergence (DESIGN.md §12).
+    Failovers are counted in [dsvc_cluster_client_failover_total]
+    (labelled [from], the endpoint that failed) and logged as warnings
+    (hence visible in the flight ring). A client built by {!connect}
+    has no detector and never fails over. *)
+
+val parse_endpoint : string -> (string * int, string) result
+(** Split ["host:port"] (shared with the CLI's [--peers] parsing). *)
+
+val connect_many :
+  ?timeout:float ->
+  ?retries:int ->
+  ?detector:Detector.t ->
+  string list ->
+  (t, string) result
+(** [connect_many ["host:port"; …]] — endpoint order is the preference
+    order among equally healthy nodes. [timeout]/[retries] as in
+    {!connect}, per endpoint; [detector] is injectable for tests.
+    [Error] on an empty list or a malformed endpoint. *)
+
 val close : t -> unit
-(** Drop the cached connection, if any. The client stays usable (the
-    next request reconnects). *)
+(** Drop every cached connection. The client stays usable (the next
+    request reconnects). *)
 
 (** {2 Typed transport errors} *)
 
@@ -117,12 +154,13 @@ val path_of : string list -> string
 (** {2 Cluster support} *)
 
 val endpoint : t -> string
-(** ["host:port"] — the peer's name on the {!Ring}. *)
+(** ["host:port"] — the peer's name on the {!Ring}; for a
+    {!connect_many} client, its first endpoint's. *)
 
 val ping : t -> (unit, string) result
-(** Cheap liveness probe against [GET /health]: single attempt, no
-    backoff (the {!Detector}'s probe must see real flakiness, not a
-    retried success). *)
+(** Cheap liveness probe against [GET /health]: single attempt per
+    endpoint, no backoff (the {!Detector}'s probe must see real
+    flakiness, not a retried success). *)
 
 val health : t -> ((string * string) list, string) result
 (** The [GET /health] fields (status, journal, generation, ring

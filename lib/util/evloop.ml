@@ -294,3 +294,7 @@ let close t =
   end
 
 let writev fd slices = raw_writev fd slices
+
+(* The stub reports POLLIN, POLLERR, POLLHUP and POLLNVAL all as the
+   read bit, so "anything pending" covers data, EOF and a dead fd. *)
+let input_pending fd = (raw_poll [| fd_int fd |] [| ev_read |] 0).(0) <> 0

@@ -80,6 +80,12 @@ val writev : Unix.file_descr -> (string * int * int) array -> int
     writable). Raises [Unix.Unix_error] on hard failures (EPIPE,
     ECONNRESET, …). *)
 
+val input_pending : Unix.file_descr -> bool
+(** Whether [fd] has anything pending right now: data, end of file,
+    an error, a hangup, or an invalid descriptor (poll(2) at zero
+    timeout). Unlike [Unix.select] it works for descriptors at or
+    above [FD_SETSIZE]. Raises [Unix.Unix_error] if poll fails. *)
+
 val fd_int : Unix.file_descr -> int
 (** The numeric value of a descriptor (Unix only); handy as a table
     key and for diagnostics. *)

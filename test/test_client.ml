@@ -2,6 +2,9 @@
 
 open Versioning_store
 module Faults = Versioning_util.Faults
+module Evloop = Versioning_util.Evloop
+module Obs = Versioning_obs.Obs
+module Metrics = Versioning_obs.Metrics
 
 let temp_dir () =
   let path = Filename.temp_file "dsvc_client" "" in
@@ -10,32 +13,57 @@ let temp_dir () =
 
 let ok = function Ok v -> v | Error e -> Alcotest.failf "error: %s" e
 
-let with_server k =
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let two_version_repo () =
   let repo = ok (Repo.init ~path:(temp_dir ())) in
   let _ = ok (Repo.commit repo ~message:"first" "alpha\nbeta") in
   let _ = ok (Repo.commit repo ~message:"second" "alpha\nbeta\ngamma") in
-  let port = 19100 + (Unix.getpid () mod 800) in
-  (* generous request budget; the server stops with the thread at join *)
+  repo
+
+(* [Server.serve] on an ephemeral port in a thread; [k] gets the port.
+   The server stops after 32 responses: the finally drains what is
+   left of that budget so the thread exits. *)
+let with_live_server repo k =
+  let bound = Atomic.make 0 in
   let server =
     Thread.create
-      (fun () -> ignore (Server.serve repo ~port ~max_requests:32 ()))
+      (fun () ->
+        ignore
+          (Server.serve repo ~port:0 ~max_requests:32
+             ~on_listen:(Atomic.set bound) ()))
       ()
   in
-  Unix.sleepf 0.2;
-  let client = Client.connect ~host:"127.0.0.1" ~port () in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get bound = 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let port = Atomic.get bound in
+  if port = 0 then Alcotest.fail "server did not start listening";
   let finally () =
-    (* drain the remaining request budget so the thread exits *)
+    let drainer = Client.connect ~retries:1 ~host:"127.0.0.1" ~port () in
     let rec drain n =
-      if n > 0 then begin
-        (match Client.request client ~meth:"GET" ~path:"/stats" () with
+      if n > 0 then
+        match Client.request drainer ~meth:"GET" ~path:"/stats" () with
         | Ok _ -> drain (n - 1)
-        | Error _ -> ())
-      end
+        | Error _ -> ()
     in
     drain 32;
+    Client.close drainer;
     Thread.join server
   in
-  Fun.protect ~finally (fun () -> k client repo)
+  Fun.protect ~finally (fun () -> k port)
+
+let with_server k =
+  let repo = two_version_repo () in
+  with_live_server repo (fun port ->
+      let client = Client.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () -> k client repo))
 
 let test_full_session () =
   with_server (fun client repo ->
@@ -92,9 +120,9 @@ let test_connection_refused () =
   | Ok _ -> Alcotest.fail "must fail to connect"
 
 let test_hostname_resolution () =
-  with_server (fun _client _repo ->
+  with_server (fun client _repo ->
       (* a DNS name, not an IP literal, must resolve via getaddrinfo *)
-      let port = 19100 + (Unix.getpid () mod 800) in
+      let _, port = ok (Client.parse_endpoint (Client.endpoint client)) in
       let named = Client.connect ~host:"localhost" ~port () in
       let st = ok (Client.stats named) in
       Alcotest.(check bool) "stats over resolved host" true
@@ -126,13 +154,6 @@ let test_post_not_retried_after_send () =
         (List.length (Repo.log repo)))
 
 let test_request_counters_by_status () =
-  let module Obs = Versioning_obs.Obs in
-  let module Metrics = Versioning_obs.Metrics in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
   Obs.with_enabled true @@ fun () ->
   with_server (fun client _repo ->
       Metrics.reset ();
@@ -177,15 +198,17 @@ let test_reserved_ref_names () =
 
 (* A server that answers exactly one connection with [response]: it
    reads the request head (the client sends no body), writes, closes. *)
-let with_fake_server response k =
+(* A TCP socket bound to an ephemeral loopback port, and the port. *)
+let bind_ephemeral () =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname sock with
+  | Unix.ADDR_INET (_, port) -> (sock, port)
+  | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+
+let with_fake_server response k =
+  let sock, port = bind_ephemeral () in
   Unix.listen sock 1;
-  let port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
-  in
   let serve () =
     let fd, _ = Unix.accept sock in
     let buf = Bytes.create 4096 in
@@ -231,14 +254,167 @@ let test_bad_response_content_length () =
       (string_of_int (Http.Parser.default_limits.max_body_bytes + 1), "");
     ]
 
-(* The failover client builds its paths with [Client.path_of]: a ref
-   name that needs escaping reaches the route it names. *)
-let test_cluster_client_encodes_refs () =
+(* A failover client escapes ref names like a one-endpoint client: a
+   ref name that needs escaping reaches the route it names. *)
+let test_failover_client_encodes_refs () =
   with_server (fun client _ ->
       ok (Client.tag client "release/1.0" ~at:1 ());
-      let cc = ok (Cluster_client.connect [ Client.endpoint client ]) in
+      let cc = ok (Client.connect_many [ Client.endpoint client ]) in
       Alcotest.(check string) "checkout release/1.0" "alpha\nbeta"
-        (ok (Cluster_client.checkout cc "release/1.0")))
+        (ok (Client.checkout cc "release/1.0")))
+
+let open_fds () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  Array.length (Sys.readdir "/proc/self/fd")
+
+(* A ping on a client that holds no connection keeps the one it opens:
+   twenty pings use one connection, not twenty left open. *)
+let test_ping_keeps_its_connection () =
+  with_server (fun client _ ->
+      let before = open_fds () in
+      for _ = 1 to 20 do
+        ok (Client.ping client)
+      done;
+      (* one client socket and the server's end of it *)
+      let grown = open_fds () - before in
+      if grown > 4 then
+        Alcotest.failf "20 pings left %d more descriptors open" grown)
+
+(* A ping that finds its kept-alive connection dead closes it for the
+   client too: the next request must not close that descriptor number
+   again once an unrelated file has taken it. *)
+let test_failed_ping_closes_only_its_socket () =
+  let client =
+    with_fake_server "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    @@ fun port ->
+    let client = Client.connect ~retries:1 ~host:"127.0.0.1" ~port () in
+    (match Client.request client ~meth:"GET" ~path:"/health" () with
+    | Ok (200, _) -> ()
+    | Ok (status, _) -> Alcotest.failf "HTTP %d" status
+    | Error e -> Alcotest.failf "first request: %s" e);
+    client
+  in
+  (* the server has closed the kept-alive connection and its listener *)
+  (match Client.ping client with
+  | Ok () -> Alcotest.fail "ping of a stopped server succeeded"
+  | Error _ -> ());
+  (* take the lowest free descriptors, where a stale number lands *)
+  let files =
+    List.init 16 (fun _ -> Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0)
+  in
+  let close_all () =
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      files
+  in
+  Fun.protect ~finally:close_all @@ fun () ->
+  (match Client.health client with
+  | Ok _ -> Alcotest.fail "health of a stopped server succeeded"
+  | Error _ -> ());
+  List.iter
+    (fun fd ->
+      match Unix.fstat fd with
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EBADF, _, _) ->
+          Alcotest.failf "the client closed descriptor %d, an unrelated file"
+            (Evloop.fd_int fd))
+    files
+
+(* Keep-alive holds for descriptors past FD_SETSIZE (1024): a process
+   with many files open still reuses its connection. *)
+let test_keepalive_above_fd_setsize () =
+  let files = ref [] in
+  let close_all () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !files
+  in
+  Fun.protect ~finally:close_all @@ fun () ->
+  (try
+     for _ = 1 to 1100 do
+       files := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !files
+     done
+   with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+     Alcotest.skip ());
+  Obs.with_enabled true @@ fun () ->
+  with_server (fun client _ ->
+      Metrics.reset ();
+      ignore (ok (Client.stats client));
+      ignore (ok (Client.stats client));
+      let text = Metrics.to_prometheus () in
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) line true (contains text line))
+        [
+          {|dsvc_client_connections_total{mode="new"} 1|};
+          {|dsvc_client_connections_total{mode="reused"} 1|};
+        ];
+      Metrics.reset ())
+
+(* Failover in one process. A dead endpoint listed first: requests go
+   on to the live one and each move is counted; once the detector has
+   seen three failures the dead endpoint is tried last. A 404 from the
+   first live server is an answer: it comes back as-is, and the second
+   server, which holds the ref, sees no request. *)
+let test_failover () =
+  Obs.with_enabled true @@ fun () ->
+  let dead =
+    let sock, port = bind_ephemeral () in
+    Unix.close sock;
+    Printf.sprintf "127.0.0.1:%d" port
+  in
+  let failovers text =
+    let prefix =
+      Printf.sprintf {|dsvc_cluster_client_failover_total{from="%s"} |} dead
+    in
+    List.find_map
+      (fun l ->
+        let n = String.length prefix in
+        if String.length l > n && String.sub l 0 n = prefix then
+          Some (String.sub l n (String.length l - n))
+        else None)
+      (String.split_on_char '\n' text)
+  in
+  with_live_server (two_version_repo ()) (fun live ->
+      Metrics.reset ();
+      let cc =
+        ok
+          (Client.connect_many ~retries:1
+             ~detector:(Detector.create ~now:(fun () -> 0.0) ())
+             [ dead; Printf.sprintf "127.0.0.1:%d" live ])
+      in
+      let id = ok (Client.commit cc ~message:"third" "delta") in
+      Alcotest.(check string) "checkout after failover" "delta"
+        (ok (Client.checkout cc (string_of_int id)));
+      Alcotest.(check bool) "versions after failover" true
+        (List.exists (fun (v, _, _) -> v = id) (ok (Client.versions cc)));
+      Alcotest.(check (option string)) "three failovers" (Some "3")
+        (failovers (Metrics.to_prometheus ()));
+      ignore (ok (Client.stats cc));
+      Alcotest.(check (option string)) "a Down endpoint is tried last"
+        (Some "3")
+        (failovers (Metrics.to_prometheus ()));
+      Client.close cc);
+  let second = two_version_repo () in
+  ok (Repo.tag second "only2" ~at:1 ());
+  with_live_server (two_version_repo ()) @@ fun p1 ->
+  with_live_server second @@ fun p2 ->
+  Metrics.reset ();
+  let cc =
+    ok
+      (Client.connect_many
+         [ Printf.sprintf "127.0.0.1:%d" p1; Printf.sprintf "127.0.0.1:%d" p2 ])
+  in
+  (match Client.checkout cc "only2" with
+  | Ok _ -> Alcotest.fail "the second server answered"
+  | Error _ -> ());
+  let text = Metrics.to_prometheus () in
+  Alcotest.(check bool) "the first server's 404" true
+    (contains text {|dsvc_client_requests_total{method="GET",status="404"} 1|});
+  Alcotest.(check bool) "no failover" false
+    (contains text "dsvc_cluster_client_failover_total");
+  Alcotest.(check bool) "no server answered 200" false
+    (contains text {|status="200"|});
+  Client.close cc;
+  Metrics.reset ()
 
 let suite =
   [
@@ -256,5 +432,12 @@ let suite =
     Alcotest.test_case "request counters by status" `Quick
       test_request_counters_by_status;
     Alcotest.test_case "cluster client encodes ref names" `Quick
-      test_cluster_client_encodes_refs;
+      test_failover_client_encodes_refs;
+    Alcotest.test_case "ping keeps its connection" `Quick
+      test_ping_keeps_its_connection;
+    Alcotest.test_case "failed ping closes only its socket" `Quick
+      test_failed_ping_closes_only_its_socket;
+    Alcotest.test_case "keep-alive above FD_SETSIZE" `Quick
+      test_keepalive_above_fd_setsize;
+    Alcotest.test_case "failover" `Quick test_failover;
   ]

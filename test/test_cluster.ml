@@ -61,7 +61,7 @@ let spawn node =
   Unix.close out
 
 let node_client node =
-  let _, port = ok (Cluster_client.parse_endpoint node.name) in
+  let _, port = ok (Client.parse_endpoint node.name) in
   Client.connect ~timeout:2.0 ~retries:1 ~host:"127.0.0.1" ~port ()
 
 let read_log node =
@@ -183,7 +183,7 @@ let test_chaos () =
         Alcotest.failf "node %s did not log %S; log tail:\n%s" n.name needle
           (tail_log n))
     nodes;
-  let cc = ok (Cluster_client.connect (List.map (fun n -> n.name) nodes)) in
+  let cc = ok (Client.connect_many (List.map (fun n -> n.name) nodes)) in
   let failures = ref [] in
   let must label r =
     match r with
@@ -197,16 +197,16 @@ let test_chaos () =
     match
       must
         (Printf.sprintf "commit v%d" v)
-        (Cluster_client.commit cc ~message:(Printf.sprintf "v%d" v)
+        (Client.commit cc ~message:(Printf.sprintf "v%d" v)
            (content_of v))
     with
     | Some id -> Alcotest.(check int) "sequential ids" v id
     | None -> ()
   done;
-  (match must "checkout v2 (all up)" (Cluster_client.checkout cc "2") with
+  (match must "checkout v2 (all up)" (Client.checkout cc "2") with
   | Some got -> Alcotest.(check string) "v2 bytes" (content_of 2) got
   | None -> ());
-  ignore (must "stats (all up)" (Cluster_client.stats cc));
+  ignore (must "stats (all up)" (Client.stats cc));
   (* ---- chaos: SIGKILL the primary mid-workload ---- *)
   let primary = List.hd nodes in
   sigkill primary;
@@ -214,7 +214,7 @@ let test_chaos () =
     match
       must
         (Printf.sprintf "commit v%d (primary dead)" v)
-        (Cluster_client.commit cc ~message:(Printf.sprintf "v%d" v)
+        (Client.commit cc ~message:(Printf.sprintf "v%d" v)
            (content_of v))
     with
     | Some id -> Alcotest.(check int) "ids survive failover" v id
@@ -225,7 +225,7 @@ let test_chaos () =
       match
         must
           (Printf.sprintf "checkout v%d (primary dead)" v)
-          (Cluster_client.checkout cc (string_of_int v))
+          (Client.checkout cc (string_of_int v))
       with
       | Some got ->
           Alcotest.(check string)
@@ -233,8 +233,8 @@ let test_chaos () =
             (content_of v) got
       | None -> ())
     [ 1; 5; 7 ];
-  ignore (must "optimize (primary dead)" (Cluster_client.optimize cc "min-storage"));
-  ignore (must "verify (primary dead)" (Cluster_client.verify cc));
+  ignore (must "optimize (primary dead)" (Client.optimize cc "min-storage"));
+  ignore (must "verify (primary dead)" (Client.verify cc));
   (* ---- cluster-wide scrape with the primary still dead: per-peer
      families from the live node, scrape_up 0 + an annotation for the
      dead one — partial results, never a failed request ---- *)
@@ -379,7 +379,7 @@ let test_chaos () =
       ("max_recreation", Printf.sprintf "%.0f" s.Repo.max_recreation_bytes);
     ]
   in
-  (match must "stats after optimize" (Cluster_client.stats cc) with
+  (match must "stats after optimize" (Client.stats cc) with
   | None -> ()
   | Some kv ->
       List.iter
