@@ -299,18 +299,15 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Check repository integrity")
     Term.(const run $ repo_dir)
 
-(* Cluster flags shared by serve, fsck, and remote: a comma-separated
-   peer list, the replication factor, and this node's own ring name
-   (host:port as peers address it; defaults to the bind address). *)
-let peers_arg =
+(* Cluster flags: a comma-separated endpoint list (serve, fsck and
+   remote, each with its own meaning), the replication factor, and
+   this node's own ring name (host:port as peers address it; defaults
+   to the bind address). *)
+let peers_arg ~doc =
   Arg.(
     value
     & opt (list ~sep:',' string) []
-    & info [ "peers" ] ~docv:"HOST:PORT,..."
-        ~doc:
-          "Run as a cluster node replicating blobs to these peers \
-           (host:port, comma separated). Without it, single-node \
-           behaviour is unchanged.")
+    & info [ "peers" ] ~docv:"HOST:PORT,..." ~doc)
 
 let replicas_arg =
   Arg.(
@@ -398,7 +395,15 @@ let fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
        ~doc:"Check repository integrity and optionally repair damage")
-    Term.(const run $ repo_dir $ repair $ peers_arg $ replicas_arg $ self_arg)
+    Term.(
+      const run $ repo_dir $ repair
+      $ peers_arg
+          ~doc:
+            "Check this node as a member of a cluster with these peers \
+             (host:port, comma separated): blobs only its peers hold \
+             count as present. Needs --self, and the node must not be \
+             serving. Without it, only the local repository is checked."
+      $ replicas_arg $ self_arg)
 
 (* -- stats -- *)
 
@@ -465,7 +470,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve the repository over HTTP (the paper's client-server mode)")
     Term.(
-      const run $ repo_dir $ port $ host $ max_requests $ peers_arg
+      const run $ repo_dir $ port $ host $ max_requests
+      $ peers_arg
+          ~doc:
+            "Run as a cluster node replicating blobs to these peers \
+             (host:port, comma separated). Without it, single-node \
+             behaviour is unchanged."
       $ replicas_arg $ self_arg)
 
 (* -- export-graph -- *)
@@ -991,6 +1001,14 @@ let remote_cmd =
           ~doc:"One of: log, checkout NAME [FILE], commit FILE [MSG], stats, optimize STRATEGY, verify, health, anti-entropy.")
   in
   let rest = Arg.(value & pos_right 0 string [] & info [] ~docv:"ARGS") in
+  let peers =
+    peers_arg
+      ~doc:
+        "Fail over across these server endpoints (host:port, comma \
+         separated) after --host/--port: a transport error moves the \
+         request to the next endpoint. Without it, only --host/--port is \
+         tried."
+  in
   let run host port action rest peers =
     let module C = Versioning_store.Client in
     (* With --peers the client fails over across the listed endpoints
@@ -1035,7 +1053,7 @@ let remote_cmd =
   in
   Cmd.v
     (Cmd.info "remote" ~doc:"Operate on a served repository over HTTP")
-    Term.(const run $ host $ port $ action $ rest $ peers_arg)
+    Term.(const run $ host $ port $ action $ rest $ peers)
 
 (* -- trace (run any subcommand traced) -- *)
 

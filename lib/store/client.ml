@@ -533,12 +533,12 @@ let endpoint t = (List.hd t.endpoints).name
 
 let health t = Result.map kv_body (expect_ok t ~meth:"GET" ~path:"/health" ())
 
-(* The failure detector's probe: one attempt, no backoff — a probe
-   that silently retried would hide exactly the flakiness the
-   detector exists to measure. *)
+(* The failure detector's and the sampler's probe: one attempt, no
+   backoff — a probe that silently retried would hide exactly the
+   flakiness the detector exists to measure. *)
 let ping t =
   match send t ~attempts:1 ~meth:"GET" ~path:"/health" () with
-  | Ok (s, _) when s >= 200 && s < 300 -> Ok ()
+  | Ok (s, body) when s >= 200 && s < 300 -> Ok (kv_body body)
   | Ok (s, body) -> Error (Printf.sprintf "health %d: %s" s (String.trim body))
   | Error e -> Error e.message
 
@@ -602,6 +602,6 @@ let backend t =
       (fun () ->
         List.fold_left (fun acc (_, s) -> acc + s) 0 (list_blobs t));
     quarantine = (fun ~digest -> quarantine_blob t digest);
-    ping = (fun () -> ping t);
+    ping = (fun () -> Result.map ignore (ping t));
     batch = Backend.unbatched;
   }

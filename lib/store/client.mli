@@ -157,10 +157,10 @@ val endpoint : t -> string
 (** ["host:port"] — the peer's name on the {!Ring}; for a
     {!connect_many} client, its first endpoint's. *)
 
-val ping : t -> (unit, string) result
-(** Cheap liveness probe against [GET /health]: single attempt per
-    endpoint, no backoff (the {!Detector}'s probe must see real
-    flakiness, not a retried success). *)
+val ping : t -> ((string * string) list, string) result
+(** Liveness probe: {!health} with a single attempt per endpoint and
+    no backoff (the {!Detector}'s probe and the server's sampler must
+    see real flakiness, not a retried success). *)
 
 val health : t -> ((string * string) list, string) result
 (** The [GET /health] fields (status, journal, generation, ring

@@ -68,7 +68,7 @@ let status_of_error e =
 
    A small bounded ring of per-request summaries (request id, route,
    status, latency, and the span aggregate of that request's trace),
-   written by [handle_safe] after every request so a debug client can
+   written by [respond] after every request so a debug client can
    ask "what did request X spend its time on" shortly after the
    fact. *)
 
@@ -430,7 +430,7 @@ let table =
         (* Stats already walks every stored object; refreshing the drift
            score here (same walk) is where the telemetry drift gauge
            gets its value — the per-request gauge refresh in
-           [handle_safe] is memory-only. *)
+           [respond] is memory-only. *)
         if Obs.enabled () then ignore (Repo.drift_score e.repo);
         Http.ok (stats_body (Repo.stats e.repo)));
     route "GET" "/branches" Read (fun e _ ->
@@ -631,8 +631,6 @@ let answer ?cluster repo req = function
       }
   | No_route -> Http.error 404 "no such route\n"
 
-let handle ?cluster repo req = answer ?cluster repo req (lookup req)
-
 (* Recover the client's trace context from the request headers: the
    trace id and parent span from [traceparent], the request id from
    [X-Dsvc-Request-Id] (sanitized — it ends up in log lines). A
@@ -738,7 +736,7 @@ let respond ?cluster repo req matched =
       ("X-Dsvc-Request-Id", ctx.Context.request_id) :: resp.Http.headers;
   }
 
-let handle_safe ?cluster repo req = respond ?cluster repo req (lookup req)
+let handle ?cluster repo req = respond ?cluster repo req (lookup req)
 
 (* ---- event-driven serving (DESIGN.md §13) ----
 
@@ -774,14 +772,41 @@ type conn = {
   mutable c_served : int;  (* responses enqueued on this connection *)
 }
 
+(* One sampler tick's peer probe, run off the loop thread: a single
+   GET /health attempt per peer (the scrape-up fraction must see real
+   deadness, not a retried success), whose body also carries the
+   peer's ring epoch. Refreshes the epoch-mismatch and hint-queue lag
+   gauges and returns the fraction of nodes up, this one included. *)
+let probe_peers c =
+  let self_epoch = Replicated.ring_epoch c.replicated in
+  let up =
+    List.fold_left
+      (fun up (name, client) ->
+        match Client.ping client with
+        | Error _ -> up
+        | Ok fields ->
+            let mismatch =
+              match List.assoc_opt "ring_epoch" fields with
+              | Some e when e = self_epoch -> 0.0
+              | _ -> 1.0
+            in
+            Metrics.gauge "dsvc_cluster_ring_epoch_mismatch"
+              ~labels:[ ("peer", name) ]
+              ~help:"1 when the peer reports a different ring epoch"
+              mismatch;
+            up + 1)
+      1 c.peer_clients
+  in
+  Replicated.export_lag_metrics c.replicated;
+  float_of_int up /. float_of_int (1 + List.length c.peer_clients)
+
 let record_rejected reason =
   Metrics.counter "dsvc_server_rejected_total"
     ~labels:[ ("reason", reason) ]
     ~help:"Connections/requests refused by the server core, by reason"
 
 let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
-    ?(request_timeout = 30.0) ?idle_timeout ?max_connections ?backend
-    ?on_listen () =
+    ?(request_timeout = 30.0) ?idle_timeout ?max_connections ?on_listen () =
   (* Serving is an operational mode: turn the observability layer on
      so GET /metrics has data, whatever the environment says. *)
   Obs.enable ();
@@ -836,8 +861,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
       restore "SIGINT" Sys.sigint !old_int;
       restore "SIGTERM" Sys.sigterm !old_term
     in
-    let loop = Evloop.create ?backend () in
-    Log.info (fun m -> m "event loop backend: %s" (Evloop.backend_name loop));
+    let loop = Evloop.create () in
     let conns : (int, conn) Hashtbl.t = Hashtbl.create 64 in
     let served = ref 0 in
     let stopping = ref false in
@@ -875,7 +899,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
           (try job ()
            with e ->
              (* lint: swallow-ok a raising job must cost one response,
-                never the executor thread; handle_safe already maps
+                never the executor thread; respond already maps
                 handler exceptions to 500s, so this is a backstop *)
              Log.err (fun m -> m "executor job raised: %s" (Printexc.to_string e)));
           worker ()
@@ -900,38 +924,10 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
           | None -> None)
         ~ts:(Repo.timeseries repo) ()
     in
-    (* Executor side: ping every peer (single attempt — the scrape-up
-       fraction must see real deadness, not a retried success), read
-       reachable peers' ring epochs, refresh hint-queue lag gauges. *)
     let probe_cluster () =
       match cluster with
       | None -> ()
-      | Some c ->
-          let self_epoch = Replicated.ring_epoch c.replicated in
-          let up = ref 1 and total = ref 1 in
-          List.iter
-            (fun (name, client) ->
-              incr total;
-              match Client.ping client with
-              | Error _ -> ()
-              | Ok () ->
-                  incr up;
-                  let mismatch =
-                    match Client.health client with
-                    | Ok fields -> (
-                        match List.assoc_opt "ring_epoch" fields with
-                        | Some e when e = self_epoch -> 0.0
-                        | _ -> 1.0)
-                    | Error _ -> 1.0
-                  in
-                  Metrics.gauge "dsvc_cluster_ring_epoch_mismatch"
-                    ~labels:[ ("peer", name) ]
-                    ~help:"1 when the peer reports a different ring epoch"
-                    mismatch)
-            c.peer_clients;
-          Atomic.set up_cell
-            (Some (float_of_int !up /. float_of_int !total));
-          Replicated.export_lag_metrics c.replicated
+      | Some c -> Atomic.set up_cell (Some (probe_peers c))
     in
     let tick_count = ref 0 in
     (* The probe gets its own short-lived thread, never the request
@@ -1229,10 +1225,9 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
     in
     Evloop.add loop lsock ~read:true ~write:false (fun _ -> do_accept ());
     if sampler_armed then
-      ignore
-        (Evloop.add_timer loop
-           ~period:(Timeseries.step (Repo.timeseries repo))
-           sampler_tick);
+      Evloop.add_timer loop
+        ~period:(Timeseries.step (Repo.timeseries repo))
+        sampler_tick;
     Fun.protect
       ~finally:(fun () ->
         restore_signals ();
@@ -1257,7 +1252,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
             && Unix.gettimeofday () < !drain_deadline
           else true
         do
-          ignore (Evloop.wait loop ~timeout:0.2);
+          Evloop.wait loop ~timeout:0.2;
           sweep (Unix.gettimeofday ())
         done);
     if !stop then begin

@@ -51,10 +51,10 @@
     [release/1.0]. A path no template matches is [404]; one matched
     only under other methods is [405] with an [Allow] header.
 
-    {!handle} is the pure request router (unit-testable without
-    sockets); {!serve} runs the accept loop.
+    {!handle} runs one request the way {!serve} does, without sockets
+    (unit tests call it directly); {!serve} runs the accept loop.
 
-    Tracing (DESIGN.md §11): {!handle_safe} extracts the client's
+    Tracing (DESIGN.md §11): {!handle} extracts the client's
     [traceparent] / [X-Dsvc-Request-Id] headers into an ambient
     {!Versioning_obs.Context} (minting a fresh one when absent), runs
     the handler under a [server.request] span parented on the client's
@@ -90,12 +90,19 @@ val classify : Http.request -> (string * access) option
     template is also its [route] metric label ("other" when [None]). *)
 
 val handle : ?cluster:cluster -> Repo.t -> Http.request -> Http.response
+(** Route and answer one request — what {!serve} runs per request,
+    minus the repo lock. A raising handler becomes a [500] response
+    instead of an exception. In cluster mode, a 2xx from a [Write]
+    route is followed by a metadata push to every usable peer (inside
+    the request's trace). *)
 
-val handle_safe : ?cluster:cluster -> Repo.t -> Http.request -> Http.response
-(** {!handle}, but a raising handler becomes a [500] response instead
-    of an exception — what {!serve} actually runs per request. In
-    cluster mode, a 2xx from a [Write] route is followed by a
-    metadata push to every usable peer (inside the request's trace). *)
+val probe_peers : cluster -> float
+(** One sampler tick's peer probe: a single-attempt [GET /health] to
+    each peer ({!Client.ping}), which also sets the peer's
+    [dsvc_cluster_ring_epoch_mismatch] gauge from the [ring_epoch] in
+    the reply; then the hint-queue lag gauges. Returns the fraction of
+    nodes up, this one included. Blocks on the network: {!serve} runs
+    it on its own thread, never the loop thread. *)
 
 val serve :
   ?cluster:cluster ->
@@ -106,13 +113,12 @@ val serve :
   ?request_timeout:float ->
   ?idle_timeout:float ->
   ?max_connections:int ->
-  ?backend:string ->
   ?on_listen:(int -> unit) ->
   unit ->
   (unit, string) result
 (** Event-driven serving on [host] (default 127.0.0.1): one loop
-    thread owns every socket ({!Versioning_util.Evloop} — epoll where
-    available), connections persist across requests (HTTP/1.1
+    thread owns every socket ({!Versioning_util.Evloop}, over poll(2)),
+    connections persist across requests (HTTP/1.1
     keep-alive, pipelining up to a bounded depth), and responses go
     out through vectored writes.
     Parsed requests execute on one executor thread so a slow handler
@@ -130,11 +136,6 @@ val serve :
     for [request_timeout] seconds (default 30) gets a [408] and is
     closed; one idle {e between} requests for [idle_timeout]
     ([DSVC_IDLE_TIMEOUT] or 5) seconds is closed silently.
-
-    [backend] pins the reactor poller ("epoll" or "poll"); unset,
-    {!Versioning_util.Evloop.create} picks epoll where available,
-    otherwise poll. The backend-matrix tests use it to assert the two
-    backends agree on observable behavior.
 
     SIGINT/SIGTERM request a graceful shutdown (in-flight work
     finishes, the listening socket closes, previous signal handlers

@@ -4,20 +4,11 @@
    that thread. Other threads talk to the loop only through [post],
    which enqueues a job and wakes the poller via a self-pipe.
 
-   Two interchangeable poller backends sit behind the same table of
-   registered fds: epoll(7) where the platform has it (persistent
-   interest set, O(ready) per wait), and poll(2) as the portable
-   fallback (no FD_SETSIZE ceiling). [create] prefers epoll; tests pin
-   a backend by name. *)
+   Each [wait] hands the table of registered fds to poll(2) through a
+   small C stub: O(registered) per wait, and no FD_SETSIZE ceiling on
+   descriptor numbers. *)
 
-external has_epoll : unit -> bool = "dsvc_has_epoll"
 external fd_int : Unix.file_descr -> int = "dsvc_fd_int"
-external epoll_create : unit -> Unix.file_descr = "dsvc_epoll_create"
-
-external epoll_ctl : Unix.file_descr -> int -> Unix.file_descr -> int -> int
-  = "dsvc_epoll_ctl"
-
-external epoll_wait : Unix.file_descr -> int -> int array = "dsvc_epoll_wait"
 
 external raw_poll : int array -> int array -> int -> int array = "dsvc_poll"
 
@@ -38,8 +29,6 @@ type entry = {
   e_cb : event -> unit;
 }
 
-type backend = Epoll of Unix.file_descr | Poll
-
 type timer = {
   tm_period : float;
   tm_cb : unit -> unit;
@@ -47,54 +36,29 @@ type timer = {
 }
 
 type t = {
-  backend : backend;
   table : (int, entry) Hashtbl.t;
   jobs : (unit -> unit) Queue.t;
   jobs_mutex : Mutex.t;
-  timers : (int, timer) Hashtbl.t;
-  mutable next_timer_id : int;
+  mutable timers : timer list;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   mutable closed : bool;
 }
 
-let backend_name t =
-  match t.backend with Epoll _ -> "epoll" | Poll -> "poll"
-
 let bits_of entry =
   (if entry.e_read then ev_read else 0)
   lor if entry.e_write then ev_write else 0
 
-let ctl_check what rc =
-  if rc < 0 then
-    failwith (Printf.sprintf "Evloop.%s: epoll_ctl failed (errno %d)" what (-rc))
-
-let choose_backend = function
-  | Some "poll" -> Poll
-  | Some "epoll" | None ->
-      if has_epoll () then begin
-        let ep = epoll_create () in
-        if fd_int ep >= 0 then Epoll ep else Poll
-      end
-      else Poll
-  | Some other ->
-      failwith
-        (Printf.sprintf "Evloop.create: backend %S: expected epoll or poll"
-           other)
-
-let create ?backend () =
-  let backend = choose_backend backend in
+let create () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   let t =
     {
-      backend;
       table = Hashtbl.create 64;
       jobs = Queue.create ();
       jobs_mutex = Mutex.create ();
-      timers = Hashtbl.create 4;
-      next_timer_id = 0;
+      timers = [];
       wake_r;
       wake_w;
       closed = false;
@@ -117,43 +81,22 @@ let create ?backend () =
     { e_num = fd_int wake_r; e_read = true; e_write = false; e_cb = drain }
   in
   Hashtbl.replace t.table entry.e_num entry;
-  (match backend with
-  | Epoll ep -> ctl_check "create" (epoll_ctl ep 0 wake_r ev_read)
-  | Poll -> ());
   t
 
 let add t fd ~read ~write cb =
   let entry =
     { e_num = fd_int fd; e_read = read; e_write = write; e_cb = cb }
   in
-  Hashtbl.replace t.table entry.e_num entry;
-  match t.backend with
-  | Epoll ep -> ctl_check "add" (epoll_ctl ep 0 fd (bits_of entry))
-  | Poll -> ()
+  Hashtbl.replace t.table entry.e_num entry
 
 let modify t fd ~read ~write =
   match Hashtbl.find_opt t.table (fd_int fd) with
   | None -> ()
   | Some entry ->
-      if entry.e_read <> read || entry.e_write <> write then begin
-        entry.e_read <- read;
-        entry.e_write <- write;
-        match t.backend with
-        | Epoll ep -> ctl_check "modify" (epoll_ctl ep 1 fd (bits_of entry))
-        | Poll -> ()
-      end
+      entry.e_read <- read;
+      entry.e_write <- write
 
-let remove t fd =
-  let num = fd_int fd in
-  if Hashtbl.mem t.table num then begin
-    Hashtbl.remove t.table num;
-    match t.backend with
-    | Epoll ep ->
-        (* Best effort: a descriptor closed before deregistration has
-           already left the epoll set. *)
-        ignore (epoll_ctl ep 2 fd 0)
-    | Poll -> ()
-  end
+let remove t fd = Hashtbl.remove t.table (fd_int fd)
 
 let post t job =
   Mutex.lock t.jobs_mutex;
@@ -177,44 +120,29 @@ let post t job =
 
 let add_timer t ~period cb =
   if not (period > 0.0) then invalid_arg "Evloop.add_timer: period must be > 0";
-  let id = t.next_timer_id in
-  t.next_timer_id <- id + 1;
-  Hashtbl.replace t.timers id
-    { tm_period = period; tm_cb = cb; tm_next = Unix.gettimeofday () +. period };
-  id
-
-let cancel_timer t id = Hashtbl.remove t.timers id
-
-let next_timer_deadline t =
-  Hashtbl.fold
-    (fun _ tm acc -> Float.min tm.tm_next acc)
-    t.timers infinity
+  t.timers <-
+    { tm_period = period; tm_cb = cb; tm_next = Unix.gettimeofday () +. period }
+    :: t.timers
 
 let run_due_timers t =
-  if Hashtbl.length t.timers = 0 then 0
-  else begin
-    let now = Unix.gettimeofday () in
-    let due =
-      Hashtbl.fold
-        (fun _ tm acc -> if tm.tm_next <= now then tm :: acc else acc)
-        t.timers []
-    in
-    List.iter
-      (fun tm ->
-        tm.tm_next <- now +. tm.tm_period;
-        tm.tm_cb ())
-      due;
-    List.length due
-  end
+  match t.timers with
+  | [] -> ()
+  | timers ->
+      let now = Unix.gettimeofday () in
+      List.iter
+        (fun tm ->
+          if tm.tm_next <= now then begin
+            tm.tm_next <- now +. tm.tm_period;
+            tm.tm_cb ()
+          end)
+        timers
 
 let run_jobs t =
   let pending = Queue.create () in
   Mutex.lock t.jobs_mutex;
   Queue.transfer t.jobs pending;
   Mutex.unlock t.jobs_mutex;
-  let n = Queue.length pending in
-  Queue.iter (fun job -> job ()) pending;
-  n
+  Queue.iter (fun job -> job ()) pending
 
 (* Dispatch one readiness report. The table is re-consulted (by
    physical equality) before each callback: an earlier callback in the
@@ -226,65 +154,45 @@ let dispatch t entry bits =
     | Some e -> e == entry
     | None -> false
   in
-  let n = ref 0 in
-  if bits land ev_read <> 0 && entry.e_read && live () then begin
-    incr n;
-    entry.e_cb `Read
-  end;
-  if bits land ev_write <> 0 && entry.e_write && live () then begin
-    incr n;
-    entry.e_cb `Write
-  end;
-  !n
+  if bits land ev_read <> 0 && entry.e_read && live () then entry.e_cb `Read;
+  if bits land ev_write <> 0 && entry.e_write && live () then entry.e_cb `Write
 
 let timeout_ms timeout =
   if timeout < 0.0 then -1 else int_of_float (Float.ceil (timeout *. 1000.0))
 
 let wait t ~timeout =
-  let dispatched = ref (run_jobs t) in
+  run_jobs t;
   (* An armed timer caps the poll: the loop must wake for its
      deadline even when no fd turns ready. Timer-free loops keep the
      caller's timeout untouched (and read no clock). *)
   let timeout =
-    if Hashtbl.length t.timers = 0 then timeout
-    else begin
-      let until = Float.max 0.0 (next_timer_deadline t -. Unix.gettimeofday ()) in
-      if timeout < 0.0 then until else Float.min timeout until
-    end
+    match t.timers with
+    | [] -> timeout
+    | timers ->
+        let next =
+          List.fold_left
+            (fun acc tm -> Float.min tm.tm_next acc)
+            infinity timers
+        in
+        let until = Float.max 0.0 (next -. Unix.gettimeofday ()) in
+        if timeout < 0.0 then until else Float.min timeout until
   in
-  (match t.backend with
-  | Epoll ep ->
-      let evs = epoll_wait ep (timeout_ms timeout) in
-      let n = Array.length evs / 2 in
-      for i = 0 to n - 1 do
-        match Hashtbl.find_opt t.table evs.(i * 2) with
-        | Some entry -> dispatched := !dispatched + dispatch t entry evs.((i * 2) + 1)
-        | None -> ()
-      done
-  | Poll ->
-      let entries =
-        Hashtbl.fold
-          (fun _ e acc -> if e.e_read || e.e_write then e :: acc else acc)
-          t.table []
-      in
-      let arr = Array.of_list entries in
-      let fds = Array.map (fun e -> e.e_num) arr in
-      let bits = Array.map bits_of arr in
-      let res = raw_poll fds bits (timeout_ms timeout) in
-      Array.iteri
-        (fun i r -> if r <> 0 then dispatched := !dispatched + dispatch t arr.(i) r)
-        res);
-  dispatched := !dispatched + run_due_timers t;
-  dispatched := !dispatched + run_jobs t;
-  !dispatched
+  let arr =
+    Array.of_list
+      (Hashtbl.fold
+         (fun _ e acc -> if e.e_read || e.e_write then e :: acc else acc)
+         t.table [])
+  in
+  let fds = Array.map (fun e -> e.e_num) arr in
+  let bits = Array.map bits_of arr in
+  let res = raw_poll fds bits (timeout_ms timeout) in
+  Array.iteri (fun i r -> if r <> 0 then dispatch t arr.(i) r) res;
+  run_due_timers t;
+  run_jobs t
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (match t.backend with
-    | Epoll ep -> (
-        match Unix.close ep with () -> () | exception Unix.Unix_error _ -> ())
-    | Poll -> ());
     List.iter
       (fun fd ->
         match Unix.close fd with

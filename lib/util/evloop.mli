@@ -1,17 +1,9 @@
 (** Readiness reactor for the event-driven server (DESIGN.md §13).
 
     A loop is a table of registered file descriptors with per-fd
-    read/write interest and a callback, behind one of two poller
-    backends selected at creation time:
-
-    - ["epoll"] — Linux epoll(7): persistent kernel interest set,
-      O(ready) waits; the fast path where available.
-    - ["poll"] — poll(2) via a small C stub: the portable fallback and
-      the only backend off Linux; no FD_SETSIZE ceiling on descriptor
-      numbers.
-
-    Without an explicit backend, {!create} uses epoll when
-    {!has_epoll}, otherwise poll.
+    read/write interest and a callback. Each {!wait} hands the table to
+    poll(2) through a small C stub: O(registered) per wait, and no
+    FD_SETSIZE ceiling on descriptor numbers.
 
     Threading contract: exactly one thread calls {!wait} (and
     {!add}/{!modify}/{!remove}, directly or from callbacks). Any
@@ -22,19 +14,8 @@ type t
 
 type event = [ `Read | `Write ]
 
-val create : ?backend:string -> unit -> t
-(** Create a loop. [backend] (["epoll"] or ["poll"]) pins the poller,
-    for tests that run a case on each; ["epoll"] still falls back to
-    poll where epoll is unavailable. Raises [Failure] on any other
-    name. *)
-
-val has_epoll : unit -> bool
-(** Whether this build can create epoll loops (Linux). Lets the
-    backend-matrix tests skip the epoll leg elsewhere instead of
-    failing on it. *)
-
-val backend_name : t -> string
-(** ["epoll"] or ["poll"] — whatever creation resolved. *)
+val create : unit -> t
+(** Create a loop and its wakeup self-pipe. *)
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> (event -> unit) -> unit
 (** Register [fd]. The callback fires on the loop thread whenever the
@@ -51,7 +32,7 @@ val remove : t -> Unix.file_descr -> unit
 val post : t -> (unit -> unit) -> unit
 (** Thread-safe: enqueue a job for the loop thread and wake it. *)
 
-val add_timer : t -> period:float -> (unit -> unit) -> int
+val add_timer : t -> period:float -> (unit -> unit) -> unit
 (** Register a periodic timer (loop thread only, like {!add}). The
     callback fires on the loop thread during {!wait} whenever its
     deadline has passed, then re-arms [period] seconds from {e now} —
@@ -60,18 +41,15 @@ val add_timer : t -> period:float -> (unit -> unit) -> int
     run under the same lint-R7 contract as fd callbacks: nothing
     Blocks-level may be reachable from them (hand blocking work to an
     executor). Raises [Invalid_argument] on a non-positive period.
-    Returns an id for {!cancel_timer}. *)
+    A timer stays armed for the loop's life. *)
 
-val cancel_timer : t -> int -> unit
-(** Deregister a timer (loop thread only). Unknown ids are ignored. *)
-
-val wait : t -> timeout:float -> int
+val wait : t -> timeout:float -> unit
 (** Run one iteration: posted jobs, then up to [timeout] seconds of
     readiness waiting (negative = forever), then callbacks for every
-    ready fd. Returns the number of callbacks plus jobs run. *)
+    ready fd, due timers, and jobs posted meanwhile. *)
 
 val close : t -> unit
-(** Release the poller and self-pipe. Registered fds are untouched. *)
+(** Release the self-pipe. Registered fds are untouched. *)
 
 val writev : Unix.file_descr -> (string * int * int) array -> int
 (** Vectored write of [(string, offset, length)] slices (at most 16

@@ -3,12 +3,8 @@
    The OCaml standard library exposes only select(2), whose fd_set
    representation caps usable descriptor *numbers* at FD_SETSIZE
    (1024) — far below what a keep-alive server holds open. These
-   stubs provide the two readiness APIs the reactor actually wants:
-
-     - epoll(7) on Linux: a persistent interest set, O(ready) waits.
-     - poll(2) everywhere else: no FD_SETSIZE ceiling, O(n) waits.
-
-   plus writev(2) so a response's header and body slices go to the
+   stubs provide poll(2), which has no FD_SETSIZE ceiling, plus
+   writev(2) so a response's header and body slices go to the
    socket in one system call without being concatenated first.
 
    Event bits shared with evloop.ml: 1 = readable, 2 = writable.
@@ -24,10 +20,8 @@
 #endif
 
 #include <errno.h>
-#include <limits.h>
 #include <poll.h>
 #include <stdlib.h>
-#include <string.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -38,112 +32,12 @@
 #include <caml/threads.h>
 #include <caml/unixsupport.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #define DSVC_EV_READ 1
 #define DSVC_EV_WRITE 2
 
 /* On Unix, Unix.file_descr is an immediate int. */
 
 CAMLprim value dsvc_fd_int(value fd) { return Val_int(Int_val(fd)); }
-
-CAMLprim value dsvc_has_epoll(value unit)
-{
-  (void)unit;
-#ifdef __linux__
-  return Val_true;
-#else
-  return Val_false;
-#endif
-}
-
-#ifdef __linux__
-
-CAMLprim value dsvc_epoll_create(value unit)
-{
-  (void)unit;
-  int fd = epoll_create1(EPOLL_CLOEXEC);
-  return Val_int(fd); /* -1 on failure: caller falls back to poll */
-}
-
-/* op: 0 = add, 1 = modify, 2 = delete. Returns 0 or -errno. */
-CAMLprim value dsvc_epoll_ctl(value v_ep, value v_op, value v_fd, value v_ev)
-{
-  struct epoll_event ev;
-  int bits = Int_val(v_ev);
-  int ctl_op;
-  memset(&ev, 0, sizeof ev);
-  ev.events = 0;
-  if (bits & DSVC_EV_READ) ev.events |= EPOLLIN;
-  if (bits & DSVC_EV_WRITE) ev.events |= EPOLLOUT;
-  ev.data.fd = Int_val(v_fd);
-  switch (Int_val(v_op)) {
-  case 0: ctl_op = EPOLL_CTL_ADD; break;
-  case 1: ctl_op = EPOLL_CTL_MOD; break;
-  default: ctl_op = EPOLL_CTL_DEL; break;
-  }
-  if (epoll_ctl(Int_val(v_ep), ctl_op, Int_val(v_fd), &ev) == -1)
-    return Val_int(-errno);
-  return Val_int(0);
-}
-
-#define DSVC_MAX_EVENTS 256
-
-/* Returns a flat int array [fd0; bits0; fd1; bits1; ...]. An
-   interrupted wait (EINTR) reports no events; any other failure
-   raises Unix_error. */
-CAMLprim value dsvc_epoll_wait(value v_ep, value v_timeout_ms)
-{
-  CAMLparam2(v_ep, v_timeout_ms);
-  CAMLlocal1(res);
-  struct epoll_event evs[DSVC_MAX_EVENTS];
-  int ep = Int_val(v_ep);
-  int timeout = Int_val(v_timeout_ms);
-  int n, i;
-  caml_release_runtime_system();
-  n = epoll_wait(ep, evs, DSVC_MAX_EVENTS, timeout);
-  caml_acquire_runtime_system();
-  if (n == -1) {
-    if (errno == EINTR) n = 0;
-    else caml_uerror("epoll_wait", Nothing);
-  }
-  res = caml_alloc(n * 2, 0);
-  for (i = 0; i < n; i++) {
-    int bits = 0;
-    if (evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP))
-      bits |= DSVC_EV_READ;
-    if (evs[i].events & (EPOLLOUT | EPOLLERR | EPOLLHUP))
-      bits |= DSVC_EV_WRITE;
-    Store_field(res, i * 2, Val_int(evs[i].data.fd));
-    Store_field(res, i * 2 + 1, Val_int(bits));
-  }
-  CAMLreturn(res);
-}
-
-#else /* !__linux__: epoll entry points exist but report unsupported */
-
-CAMLprim value dsvc_epoll_create(value unit)
-{
-  (void)unit;
-  return Val_int(-1);
-}
-
-CAMLprim value dsvc_epoll_ctl(value v_ep, value v_op, value v_fd, value v_ev)
-{
-  (void)v_ep; (void)v_op; (void)v_fd; (void)v_ev;
-  return Val_int(-ENOSYS);
-}
-
-CAMLprim value dsvc_epoll_wait(value v_ep, value v_timeout_ms)
-{
-  (void)v_ep; (void)v_timeout_ms;
-  caml_failwith("epoll unsupported on this platform");
-  return Val_unit;
-}
-
-#endif /* __linux__ */
 
 /* poll(2) over parallel arrays: v_fds.(i) with interest bits
    v_bits.(i). Returns an int array of ready bits, same order. */

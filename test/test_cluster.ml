@@ -172,17 +172,6 @@ let test_chaos () =
   Fun.protect ~finally:restore_step @@ fun () ->
   List.iter spawn nodes;
   List.iter wait_healthy nodes;
-  let backend =
-    if Versioning_util.Evloop.has_epoll () then "epoll" else "poll"
-  in
-  List.iter
-    (fun n ->
-      let log = read_log n in
-      let needle = "event loop backend: " ^ backend in
-      if not (contains log needle) then
-        Alcotest.failf "node %s did not log %S; log tail:\n%s" n.name needle
-          (tail_log n))
-    nodes;
   let cc = ok (Client.connect_many (List.map (fun n -> n.name) nodes)) in
   let failures = ref [] in
   let must label r =

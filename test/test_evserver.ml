@@ -189,19 +189,13 @@ let test_parser_content_length_hygiene () =
 
 (* ---- socket plumbing ---- *)
 
-(* Every server-level case runs once per reactor backend: poll
-   everywhere, epoll where the platform has it. *)
-let backends = "poll" :: (if Evloop.has_epoll () then [ "epoll" ] else [])
-
-let on_backends f = List.iter f backends
-
 (* Serve on an ephemeral port; the on_listen handshake hands the
    actual port back before the first connect. Every test server gets a
    max_requests so it shuts itself down once the expected responses
    have been enqueued (503 rejections don't count — they never reach
    the response path). *)
-let start_server ?request_timeout ?idle_timeout ?max_connections ~backend
-    ~max_requests repo =
+let start_server ?request_timeout ?idle_timeout ?max_connections ~max_requests
+    repo =
   let mu = Mutex.create () in
   let cv = Condition.create () in
   let port = ref 0 in
@@ -210,7 +204,7 @@ let start_server ?request_timeout ?idle_timeout ?max_connections ~backend
       (fun () ->
         match
           Server.serve repo ~port:0 ?request_timeout ?idle_timeout
-            ?max_connections ~backend ~max_requests
+            ?max_connections ~max_requests
             ~on_listen:(fun p ->
               Mutex.lock mu;
               port := p;
@@ -278,9 +272,8 @@ let expect_eof name ic =
 (* ---- keep-alive, pipelining and the limit responses ---- *)
 
 let test_keepalive_then_close () =
-  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~backend ~max_requests:3 repo in
+  let port, server = start_server ~max_requests:3 repo in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
   send oc "GET /stats HTTP/1.1\r\nHost: h\r\n\r\n";
@@ -299,9 +292,8 @@ let test_keepalive_then_close () =
   Thread.join server
 
 let test_socket_pipelining () =
-  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~backend ~max_requests:2 repo in
+  let port, server = start_server ~max_requests:2 repo in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
   (* both requests on the wire before either response: responses must
@@ -321,10 +313,9 @@ let test_socket_pipelining () =
    write: those left in the parser's buffer are served as the queue
    drains, without the peer sending another byte. *)
 let test_pipelining_past_queue () =
-  on_backends @@ fun backend ->
   let n = 20 in
   let repo = mk_repo () in
-  let port, server = start_server ~backend ~max_requests:n repo in
+  let port, server = start_server ~max_requests:n repo in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
   Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
@@ -342,10 +333,9 @@ let test_pipelining_past_queue () =
   Thread.join server
 
 let test_request_timeout_408 () =
-  on_backends @@ fun backend ->
   let repo = mk_repo () in
   let port, server =
-    start_server ~backend ~request_timeout:0.3 ~max_requests:1 repo
+    start_server ~request_timeout:0.3 ~max_requests:1 repo
   in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
@@ -357,10 +347,9 @@ let test_request_timeout_408 () =
   Thread.join server
 
 let test_idle_close_silent () =
-  on_backends @@ fun backend ->
   let repo = mk_repo () in
   let port, server =
-    start_server ~backend ~idle_timeout:0.25 ~max_requests:2 repo
+    start_server ~idle_timeout:0.25 ~max_requests:2 repo
   in
   let sock, ic, oc = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock) @@ fun () ->
@@ -378,10 +367,9 @@ let test_idle_close_silent () =
   Thread.join server
 
 let test_max_connections_503 () =
-  on_backends @@ fun backend ->
   let repo = mk_repo () in
   let port, server =
-    start_server ~backend ~max_connections:1 ~max_requests:1 repo
+    start_server ~max_connections:1 ~max_requests:1 repo
   in
   let sock1, ic1, oc1 = tcp_connect port in
   Fun.protect ~finally:(fun () -> close_sock sock1) @@ fun () ->
@@ -398,20 +386,18 @@ let test_max_connections_503 () =
   Alcotest.(check int) "admitted connection still served" 200 s1;
   Thread.join server
 
-(* ---- backend matrix: the pollers must agree ---- *)
+(* ---- the three limits on one server ---- *)
 
-(* One probe run against a server pinned to [backend], collecting the
-   status codes of the three limit behaviors: oversized headers (413),
-   an over-capacity connect (503), and a mid-request stall (408). The
-   server core is backend-agnostic, so the triples must be identical
-   whatever poller drives the loop. *)
-let probe_backend backend =
+(* One server meets the three limit behaviors in turn: oversized
+   headers (413), an over-capacity connect (503), and a mid-request
+   stall (408). *)
+let test_limits_in_turn () =
   let repo = mk_repo () in
   (* max_requests:2 — the 413 and the 408 go through the response
      path; the 503 is written straight to the fresh socket and does
      not count. *)
   let port, server =
-    start_server ~backend ~request_timeout:0.4 ~max_connections:1
+    start_server ~request_timeout:0.4 ~max_connections:1
       ~max_requests:2 repo
   in
   (* 413: a request line that blows the 16 KiB header cap *)
@@ -420,7 +406,7 @@ let probe_backend backend =
     Fun.protect ~finally:(fun () -> close_sock sock1) @@ fun () ->
     send oc1 ("GET /" ^ String.make 20_000 'a');
     let s, _ = read_response ic1 in
-    expect_eof (backend ^ ": closed after 413") ic1;
+    expect_eof "closed after 413" ic1;
     s
   in
   (* let the loop retire the closed connection before filling the
@@ -434,35 +420,23 @@ let probe_backend backend =
   let s503 =
     Fun.protect ~finally:(fun () -> close_sock sock3) @@ fun () ->
     let s, _ = read_response ic3 in
-    expect_eof (backend ^ ": overload connection closed") ic3;
+    expect_eof "overload connection closed" ic3;
     s
   in
   (* 408: the admitted connection stalls mid-request *)
   send oc2 "GET /stats HTT";
   let s408, _ = read_response ic2 in
-  expect_eof (backend ^ ": closed after 408") ic2;
+  expect_eof "closed after 408" ic2;
   Thread.join server;
-  (s413, s503, s408)
-
-let test_backend_matrix () =
-  let loop = Evloop.create () in
-  let default = Evloop.backend_name loop in
-  Evloop.close loop;
-  Alcotest.(check string) "epoll is the default where available"
-    (if Evloop.has_epoll () then "epoll" else "poll")
-    default;
-  on_backends @@ fun backend ->
-  let s413, s503, s408 = probe_backend backend in
-  Alcotest.(check int) (backend ^ ": oversized header is 413") 413 s413;
-  Alcotest.(check int) (backend ^ ": over capacity is 503") 503 s503;
-  Alcotest.(check int) (backend ^ ": stalled request is 408") 408 s408
+  Alcotest.(check int) "oversized header is 413" 413 s413;
+  Alcotest.(check int) "over capacity is 503" 503 s503;
+  Alcotest.(check int) "stalled request is 408" 408 s408
 
 (* ---- a corrupt blob is a clean error ---- *)
 
 let test_corrupt_raw_blob () =
-  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~backend ~max_requests:3 repo in
+  let port, server = start_server ~max_requests:3 repo in
   (* random bytes do not compress, so the file is raw-framed *)
   let rng = Random.State.make [| 24 |] in
   let content = String.init 100_000 (fun _ -> Char.chr (Random.State.int rng 256)) in
@@ -495,9 +469,8 @@ let test_corrupt_raw_blob () =
 let test_client_reuse_and_stale () =
   Faults.reset ();
   Fun.protect ~finally:(fun () -> Faults.reset ()) @@ fun () ->
-  on_backends @@ fun backend ->
   let repo = mk_repo () in
-  let port, server = start_server ~backend ~max_requests:3 repo in
+  let port, server = start_server ~max_requests:3 repo in
   let client = Client.connect ~host:"127.0.0.1" ~port () in
   (match Client.stats client with
   | Ok _ -> ()
@@ -550,8 +523,8 @@ let suite =
       test_idle_close_silent;
     Alcotest.test_case "connection cap gets 503" `Quick
       test_max_connections_503;
-    Alcotest.test_case "backend matrix agrees on 408/413/503" `Quick
-      test_backend_matrix;
+    Alcotest.test_case "one server answers 413/503/408" `Quick
+      test_limits_in_turn;
     Alcotest.test_case "corrupt raw blob is a clean 404" `Quick
       test_corrupt_raw_blob;
     Alcotest.test_case "client reuse and stale error" `Quick

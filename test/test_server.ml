@@ -226,7 +226,7 @@ let test_encoded_route_label () =
   Metrics.reset ();
   let repo = mk_repo () in
   ignore (ok (Repo.tag repo "release/1.0" ~at:1 ()));
-  let r = Server.handle_safe repo (mk_request "/checkout/release%2F1.0") in
+  let r = Server.handle repo (mk_request "/checkout/release%2F1.0") in
   Alcotest.(check int) "checkout ok" 200 r.Http.status;
   Alcotest.(check bool) "counted under the template" true
     (List.mem
@@ -262,7 +262,7 @@ let test_raising_handler_yields_500 () =
   (* an injected crash makes the optimize handler raise mid-request *)
   Faults.arm ~site:"optimize.after_objects" Faults.Crash;
   let r =
-    Server.handle_safe repo
+    Server.handle repo
       (mk_request ~meth:"POST"
          ~query:[ ("strategy", "min-storage") ]
          "/optimize")
@@ -287,21 +287,21 @@ let test_route_metrics () =
   let repo = mk_repo () in
   (* drive every tier: server routing, checkout cache, store get/put,
      delta encode and both the MCA and SPT solvers *)
-  let r = Server.handle_safe repo (mk_request "/checkout/1") in
+  let r = Server.handle repo (mk_request "/checkout/1") in
   Alcotest.(check int) "checkout ok" 200 r.Http.status;
   let r =
-    Server.handle_safe repo
+    Server.handle repo
       (mk_request ~meth:"POST" ~query:[ ("strategy", "min-storage") ] "/optimize")
   in
   Alcotest.(check int) "optimize mca ok" 200 r.Http.status;
   let r =
-    Server.handle_safe repo
+    Server.handle repo
       (mk_request ~meth:"POST"
          ~query:[ ("strategy", "min-recreation") ]
          "/optimize")
   in
   Alcotest.(check int) "optimize spt ok" 200 r.Http.status;
-  let r = Server.handle_safe repo (mk_request "/metrics") in
+  let r = Server.handle repo (mk_request "/metrics") in
   Alcotest.(check int) "metrics 200" 200 r.Http.status;
   Alcotest.(check bool) "prometheus text body" true
     (contains r.Http.body "# TYPE dsvc_server_requests_total counter");
@@ -322,7 +322,9 @@ let test_route_metrics () =
        (List.length families))
     true
     (List.length families >= 20);
-  let r = Server.handle_safe repo (mk_request ~query:[ ("format", "json") ] "/metrics") in
+  let r =
+    Server.handle repo (mk_request ~query:[ ("format", "json") ] "/metrics")
+  in
   Alcotest.(check int) "json 200" 200 r.Http.status;
   Alcotest.(check bool) "json envelope" true
     (contains r.Http.body {|"metrics":[|});
@@ -346,9 +348,9 @@ let test_route_metrics_cluster_single () =
   Obs.with_enabled true @@ fun () ->
   Metrics.reset ();
   let repo = mk_repo () in
-  let r = Server.handle_safe repo (mk_request "/checkout/1") in
+  let r = Server.handle repo (mk_request "/checkout/1") in
   Alcotest.(check int) "checkout ok" 200 r.Http.status;
-  let r = Server.handle_safe repo (mk_request "/metrics/cluster") in
+  let r = Server.handle repo (mk_request "/metrics/cluster") in
   Alcotest.(check int) "cluster scrape 200" 200 r.Http.status;
   (* without --peers the node scrapes itself under the "self" label *)
   Alcotest.(check bool) "self re-labelled" true
@@ -382,7 +384,7 @@ let test_cluster_scrape_dead_peers_and_escaping () =
   Obs.with_enabled true @@ fun () ->
   Metrics.reset ();
   let repo = mk_repo () in
-  ignore (Server.handle_safe repo (mk_request "/checkout/1"));
+  ignore (Server.handle repo (mk_request "/checkout/1"));
   (* a ring-member name is host:port in production, but nothing
      enforces that — the exposition must survive the worst case *)
   let self_name = {|se"lf\node|} in
@@ -400,7 +402,7 @@ let test_cluster_scrape_dead_peers_and_escaping () =
       peer_clients = [ dead "peer-b"; dead evil_peer ];
     }
   in
-  let r = Server.handle_safe ~cluster repo (mk_request "/metrics/cluster") in
+  let r = Server.handle ~cluster repo (mk_request "/metrics/cluster") in
   Alcotest.(check int) "partial scrape still 200" 200 r.Http.status;
   let body = r.Http.body in
   (* Prometheus escaping, not OCaml %S: backslash and quote get a
@@ -440,6 +442,109 @@ let test_cluster_scrape_dead_peers_and_escaping () =
                | None -> Alcotest.failf "non-numeric sample value: %S" line));
   Metrics.reset ()
 
+(* ---- the sampler's peer probe ---- *)
+
+(* A peer that answers every request on its one connection with a
+   /health body naming [epoch] until the client hangs up. Returns [k]'s
+   result and the number of GET /health requests the peer saw. *)
+let with_health_peer ~epoch k =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 1;
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let body = Printf.sprintf "status ok\nring_epoch %s\n" epoch in
+  let response =
+    Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let health = Atomic.make 0 in
+  let serve () =
+    let fd, _ = Unix.accept sock in
+    let ic = Unix.in_channel_of_descr fd in
+    let rec skip_head () =
+      if String.trim (input_line ic) <> "" then skip_head ()
+    in
+    (try
+       while true do
+         let line = input_line ic in
+         if String.starts_with ~prefix:"GET /health " line then
+           Atomic.incr health;
+         skip_head ();
+         ignore (Unix.write_substring fd response 0 (String.length response))
+       done
+     with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
+    Unix.close fd
+  in
+  let server = Thread.create serve () in
+  let finally () =
+    (* a probe that never connected leaves [serve] in accept: an empty
+       connection releases it (and only queues when it did connect) *)
+    let wake = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    (try Unix.connect wake (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+     with Unix.Unix_error _ -> ());
+    Unix.close wake;
+    Thread.join server;
+    Unix.close sock
+  in
+  let result = Fun.protect ~finally (fun () -> k port) in
+  (result, Atomic.get health)
+
+(* Each sampler tick probes each live peer with one GET /health: the
+   single-attempt liveness check and the ring-epoch read share it. *)
+let test_probe_one_health_request_per_peer () =
+  let module Obs = Versioning_obs.Obs in
+  let module Metrics = Versioning_obs.Metrics in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    nn = 0 || go 0
+  in
+  Obs.with_enabled true @@ fun () ->
+  Fun.protect ~finally:(fun () -> Metrics.reset ()) @@ fun () ->
+  Metrics.reset ();
+  let replicated =
+    Replicated.create ~replicas:1 ~self:"self" ~self_backend:(Backend.memory ())
+      ~peers:[] ()
+  in
+  let probe epoch =
+    with_health_peer ~epoch @@ fun port ->
+    let live =
+      Client.connect ~timeout:2.0 ~retries:1 ~host:"127.0.0.1" ~port ()
+    in
+    (* nothing listens on the discard port *)
+    let dead =
+      Client.connect ~timeout:0.5 ~retries:1 ~host:"127.0.0.1" ~port:9 ()
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Client.close live;
+        Client.close dead)
+      (fun () ->
+        Server.probe_peers
+          {
+            Server.local_store = Object_store.memory ();
+            replicated;
+            peer_clients = [ ("live", live); ("dead", dead) ];
+          })
+  in
+  let up, requests = probe (Replicated.ring_epoch replicated) in
+  Alcotest.(check int) "one /health request to the live peer" 1 requests;
+  Alcotest.(check (float 1e-9)) "self and the live peer are up" (2.0 /. 3.0) up;
+  Alcotest.(check bool) "same epoch: no mismatch" true
+    (contains (Metrics.to_prometheus ())
+       {|dsvc_cluster_ring_epoch_mismatch{peer="live"} 0|});
+  let _, requests = probe "some other epoch" in
+  Alcotest.(check int) "one /health request on a mismatch too" 1 requests;
+  let text = Metrics.to_prometheus () in
+  Alcotest.(check bool) "other epoch: mismatch" true
+    (contains text {|dsvc_cluster_ring_epoch_mismatch{peer="live"} 1|});
+  Alcotest.(check bool) "a dead peer sets no epoch gauge" false
+    (contains text {|dsvc_cluster_ring_epoch_mismatch{peer="dead"}|})
+
 (* ---- GET /timeseries and GET /alerts ---- *)
 
 let test_route_timeseries_and_alerts () =
@@ -451,18 +556,18 @@ let test_route_timeseries_and_alerts () =
   in
   let repo = mk_repo () in
   (* an un-sampled server answers with an empty listing, not an error *)
-  let r = Server.handle_safe repo (mk_request "/timeseries") in
+  let r = Server.handle repo (mk_request "/timeseries") in
   Alcotest.(check int) "empty listing 200" 200 r.Http.status;
   Alcotest.(check string) "empty body" "" r.Http.body;
   let ts = Repo.timeseries repo in
   let now = Unix.gettimeofday () in
   Timeseries.record ts ~now ~metric:"sli:scrape_up" 1.0;
   Timeseries.record ts ~now ~metric:"other series" 3.5;
-  let r = Server.handle_safe repo (mk_request "/timeseries") in
+  let r = Server.handle repo (mk_request "/timeseries") in
   Alcotest.(check string) "series listing, sorted" "other series\nsli:scrape_up\n"
     r.Http.body;
   let r =
-    Server.handle_safe repo
+    Server.handle repo
       (mk_request ~query:[ ("metric", "sli:scrape_up"); ("since", "60") ]
          "/timeseries")
   in
@@ -478,13 +583,13 @@ let test_route_timeseries_and_alerts () =
       | cols -> Alcotest.failf "expected 6 columns, got %d" (List.length cols))
   | ls -> Alcotest.failf "expected one bucket line, got %d" (List.length ls));
   let r =
-    Server.handle_safe repo
+    Server.handle repo
       (mk_request ~query:[ ("metric", "no such series") ] "/timeseries")
   in
   Alcotest.(check string) "unknown series is empty, not 404" "" r.Http.body;
   (* the alert engine answers even when the sampler never ran: every
      stock rule present, inactive *)
-  let r = Server.handle_safe repo (mk_request "/alerts") in
+  let r = Server.handle repo (mk_request "/alerts") in
   Alcotest.(check int) "alerts 200" 200 r.Http.status;
   Alcotest.(check bool) "stock rules listed" true
     (contains r.Http.body "cluster_scrape_up");
@@ -763,7 +868,7 @@ let test_trace_endpoint_and_request_id_echo () =
       ("x-dsvc-request-id", ctx.Ctx.request_id);
     ]
   in
-  let r = Server.handle_safe repo (mk_request ~headers "/checkout/1") in
+  let r = Server.handle repo (mk_request ~headers "/checkout/1") in
   Alcotest.(check int) "200" 200 r.Http.status;
   Alcotest.(check (option string)) "request id echoed in a response header"
     (Some ctx.Ctx.request_id)
@@ -776,7 +881,7 @@ let test_trace_endpoint_and_request_id_echo () =
   Alcotest.(check (option int)) "span parented on the header's span id"
     (Some 7) server_span.Trace.parent;
   let r =
-    Server.handle_safe repo (mk_request ("/trace/" ^ ctx.Ctx.request_id))
+    Server.handle repo (mk_request ("/trace/" ^ ctx.Ctx.request_id))
   in
   Alcotest.(check int) "/trace/:id answers" 200 r.Http.status;
   Alcotest.(check bool) "summary names the request" true
@@ -786,14 +891,14 @@ let test_trace_endpoint_and_request_id_echo () =
   Alcotest.(check bool) "summary includes the server span" true
     (contains r.Http.body "server.request");
   (* a second request reusing the id: the newest one answers *)
-  let r = Server.handle_safe repo (mk_request ~headers "/stats") in
+  let r = Server.handle repo (mk_request ~headers "/stats") in
   Alcotest.(check int) "reused id served" 200 r.Http.status;
   let r =
-    Server.handle_safe repo (mk_request ("/trace/" ^ ctx.Ctx.request_id))
+    Server.handle repo (mk_request ("/trace/" ^ ctx.Ctx.request_id))
   in
   Alcotest.(check bool) "newest request with the id answers" true
     (contains r.Http.body "\"route\":\"/stats\"");
-  let r = Server.handle_safe repo (mk_request "/trace/nosuch") in
+  let r = Server.handle repo (mk_request "/trace/nosuch") in
   Alcotest.(check int) "unknown id is 404" 404 r.Http.status
 
 (* With the gate off and the context unsampled, tracing must change
@@ -809,7 +914,7 @@ let test_off_mode_is_silent () =
     let ctx = Ctx.make ~sampled:false () in
     let headers = [ ("traceparent", Ctx.to_traceparent ctx) ] in
     let r =
-      Server.handle_safe repo
+      Server.handle repo
         (mk_request ~headers ~meth:"POST"
            ~query:[ ("strategy", "min-storage") ]
            "/optimize")
@@ -965,6 +1070,8 @@ let suite =
       test_route_metrics_cluster_single;
     Alcotest.test_case "cluster scrape: dead peers and label escaping" `Quick
       test_cluster_scrape_dead_peers_and_escaping;
+    Alcotest.test_case "probe sends one /health per peer" `Quick
+      test_probe_one_health_request_per_peer;
     Alcotest.test_case "routes /timeseries and /alerts" `Quick
       test_route_timeseries_and_alerts;
     Alcotest.test_case "DSVC_OBS=0 never arms the sampler" `Quick

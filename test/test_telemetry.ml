@@ -222,7 +222,23 @@ let test_env_readers () =
   Alcotest.(check (pair (list string) (option int))) "valid value" ([], Some 3)
     (jobs_default "3");
   Alcotest.(check (pair (list string) (option int))) "large value capped"
-    ([], Some 128) (jobs_default "500")
+    ([], Some 128) (jobs_default "500");
+  (* --peers means a failover list to remote, replication peers to
+     serve, and the peers to check against to fsck *)
+  let help cmd =
+    let code, out, _ = run_dsvc ~env:[] [ cmd; "--help=plain" ] in
+    Alcotest.(check int) (cmd ^ " --help exits 0") 0 code;
+    out
+  in
+  let remote = help "remote" in
+  Alcotest.(check bool) "remote --peers is the failover list" true
+    (contains remote "Fail over across");
+  Alcotest.(check bool) "remote --peers is not a cluster node" false
+    (contains remote "Run as a cluster node");
+  Alcotest.(check bool) "serve --peers keeps its doc" true
+    (contains (help "serve") "Run as a cluster node");
+  Alcotest.(check bool) "fsck --peers names the check" true
+    (contains (help "fsck") "only its peers")
 
 (* ---- persistence through Repo ---- *)
 

@@ -483,23 +483,18 @@ let test_evloop_timer () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-positive period must be rejected");
   let fired = ref 0 in
-  let id = Evloop.add_timer loop ~period:0.02 (fun () -> incr fired) in
+  Evloop.add_timer loop ~period:0.02 (fun () -> incr fired);
   let deadline = Unix.gettimeofday () +. 2.0 in
   while !fired < 3 && Unix.gettimeofday () < deadline do
-    ignore (Evloop.wait loop ~timeout:0.5)
+    Evloop.wait loop ~timeout:0.5
   done;
   Alcotest.(check bool) "periodic timer keeps firing" true (!fired >= 3);
   (* a long gap yields at most one catch-up firing per wait, never a
      burst that replays the backlog *)
   let before = !fired in
   Unix.sleepf 0.1;
-  ignore (Evloop.wait loop ~timeout:0.01);
-  Alcotest.(check bool) "no backlog replay" true (!fired - before <= 1);
-  Evloop.cancel_timer loop id;
-  let before = !fired in
-  ignore (Evloop.wait loop ~timeout:0.05);
-  ignore (Evloop.wait loop ~timeout:0.05);
-  Alcotest.(check int) "cancelled timer stays quiet" before !fired
+  Evloop.wait loop ~timeout:0.01;
+  Alcotest.(check bool) "no backlog replay" true (!fired - before <= 1)
 
 let suite =
   [
@@ -531,6 +526,6 @@ let suite =
     Alcotest.test_case "sampler p99 reads the histogram diff" `Quick
       test_sampler_p99_from_histogram_diff;
     Alcotest.test_case "env_float knob parsing" `Quick test_env_float;
-    Alcotest.test_case "reactor timer fires, clamps, cancels" `Quick
+    Alcotest.test_case "reactor timer fires and clamps" `Quick
       test_evloop_timer;
   ]
