@@ -51,6 +51,7 @@ module Replicated = Versioning_store.Replicated
 module Content_hash = Versioning_store.Content_hash
 module Server = Versioning_store.Server
 module Client = Versioning_store.Client
+module Http = Versioning_store.Http
 module Fsutil = Versioning_util.Fsutil
 module Obs = Versioning_obs.Obs
 module Metrics = Versioning_obs.Metrics
@@ -1265,30 +1266,22 @@ let concurrency ~quick =
   header "concurrency: event-loop server under keep-alive load";
   let dir, repo = temp_repo "conc" in
   let _ = ok (Repo.commit repo ~message:"seed" "alpha\nbeta\ngamma") in
-  let port_box = ref None in
-  let pm = Mutex.create () and pc = Condition.create () in
+  let bound = Atomic.make 0 in
   let server =
     Thread.create
       (fun () ->
         match
           Server.serve repo ~port:0 ~max_connections:2048 ~idle_timeout:120.0
-            ~on_listen:(fun p ->
-              Mutex.lock pm;
-              port_box := Some p;
-              Condition.signal pc;
-              Mutex.unlock pm)
-            ()
+            ~on_listen:(Atomic.set bound) ()
         with
         | Ok () -> ()
         | Error e -> Printf.eprintf "concurrency bench server: %s\n%!" e)
       ()
   in
-  Mutex.lock pm;
-  while !port_box = None do
-    Condition.wait pc pm
+  while Atomic.get bound = 0 do
+    Thread.delay 0.001
   done;
-  let port = Option.get !port_box in
-  Mutex.unlock pm;
+  let port = Atomic.get bound in
   let reuse_counter () =
     List.fold_left
       (fun acc (k, v) ->
@@ -1297,39 +1290,27 @@ let concurrency ~quick =
         else acc)
       0.0 (Metrics.snapshot_values ())
   in
-  (* One keep-alive request/response on an already-open connection. *)
-  let request_once ic oc =
-    output_string oc "GET /stats HTTP/1.1\r\nHost: bench\r\n\r\n";
-    flush oc;
-    let line () =
-      match input_line ic with
-      | l ->
-          if String.length l > 0 && l.[String.length l - 1] = '\r' then
-            String.sub l 0 (String.length l - 1)
-          else l
-      | exception End_of_file -> failwith "server closed connection"
+  (* One keep-alive request/response on an already-open connection,
+     framed by the codec the server and Client use. *)
+  let get_stats =
+    Http.serialize_request_header ~keep_alive:true ~meth:"GET"
+      ~target:"/stats" [ ("Host", "bench") ] ~content_length:0
+  in
+  let request_once sock parser buf =
+    ignore (Unix.write_substring sock get_stats 0 (String.length get_stats));
+    let rec read () =
+      match Http.Parser.next_response parser with
+      | `Response { Http.reply_status = 200; _ } -> ()
+      | `Response r ->
+          failwith (Printf.sprintf "unexpected response: %d" r.Http.reply_status)
+      | `Reject r -> failwith ("bad response: " ^ r.Http.Parser.reject_reason)
+      | `Partial ->
+          let n = Unix.read sock buf 0 (Bytes.length buf) in
+          if n = 0 then failwith "server closed connection";
+          Http.Parser.feed parser buf 0 n;
+          read ()
     in
-    let status = line () in
-    if String.length status < 12 || String.sub status 9 3 <> "200" then
-      failwith ("unexpected response: " ^ status);
-    let cl = ref 0 in
-    let rec headers () =
-      let l = line () in
-      if l <> "" then begin
-        (match String.index_opt l ':' with
-        | Some i when String.lowercase_ascii (String.sub l 0 i) = "content-length"
-          ->
-            cl :=
-              Option.value
-                (int_of_string_opt
-                   (String.trim (String.sub l (i + 1) (String.length l - i - 1))))
-                ~default:0
-        | _ -> ());
-        headers ()
-      end
-    in
-    headers ();
-    if !cl > 0 then ignore (really_input_string ic !cl)
+    read ()
   in
   subheader "keep-alive latency/throughput by client count";
   Printf.printf "%-10s %10s %12s %10s %10s %12s %10s\n" "clients" "requests"
@@ -1346,8 +1327,7 @@ let concurrency ~quick =
     let client_thread idx =
       let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let ic = Unix.in_channel_of_descr sock in
-      let oc = Unix.out_channel_of_descr sock in
+      let parser = Http.Parser.create () and buf = Bytes.create 4096 in
       Mutex.lock bm;
       incr ready;
       Condition.broadcast bc;
@@ -1357,7 +1337,7 @@ let concurrency ~quick =
       Mutex.unlock bm;
       for i = 0 to per_client - 1 do
         let t0 = Unix.gettimeofday () in
-        request_once ic oc;
+        request_once sock parser buf;
         lats.((idx * per_client) + i) <- Unix.gettimeofday () -. t0
       done;
       (try Unix.close sock with Unix.Unix_error _ -> ())

@@ -8,9 +8,9 @@ let log_src = Logs.Src.create "dsvc.client" ~doc:"dsvc HTTP client"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* A cached connection: both channel views share [fd]; closing the fd
-   once releases everything. *)
-type conn_state = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+(* A cached connection: the socket and the parser holding what has
+   been read from it. *)
+type conn_state = { fd : Unix.file_descr; parser : Http.Parser.t }
 
 (* One server and its kept-alive connection. [name] is "host:port",
    the server's name on the {!Ring} and in the {!Detector}. *)
@@ -28,6 +28,7 @@ type t = {
   retries : int;
   keepalive : bool;
   lock : Mutex.t;  (* serializes the exchange and guards every [cached] *)
+  rbuf : Bytes.t;  (* read scratch, used under [lock] *)
 }
 
 let endpoint_of host port =
@@ -35,7 +36,8 @@ let endpoint_of host port =
 
 let make ?(timeout = 10.0) ?(retries = 3) ?(keepalive = true) endpoints
     detector =
-  { endpoints; detector; timeout; retries; keepalive; lock = Mutex.create () }
+  { endpoints; detector; timeout; retries; keepalive; lock = Mutex.create ();
+    rbuf = Bytes.create 65536 }
 
 let connect ?timeout ?retries ?keepalive ~host ~port () =
   make ?timeout ?retries ?keepalive [ endpoint_of host port ] None
@@ -130,21 +132,10 @@ let transient_unix_error = function
       true
   | _ -> false
 
-let percent_encode s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '-' | '_' | '.' | '~' ->
-          Buffer.add_char buf c
-      | c -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
-  Buffer.contents buf
-
 (* A request path from its segments, each escaped: a ref name may
    carry '/', '?', '#' or '%'. *)
 let path_of segments =
-  String.concat "" (List.map (fun s -> "/" ^ percent_encode s) segments)
+  String.concat "" (List.map (fun s -> "/" ^ Http.percent_encode s) segments)
 
 let record_conn mode =
   Metrics.counter "dsvc_client_connections_total"
@@ -183,23 +174,41 @@ let failed ~meth ~sent ~reused ~transient message reused_message =
          stage = (if sent then "io" else "connect");
        })
 
+(* A timeout expiring under [Unix.read] or [Unix.write] is EAGAIN,
+   which [transient_unix_error] maps. No Nagle delay: a request's head
+   and body are two writes. *)
 let fresh_conn t addr =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt_float sock Unix.SO_RCVTIMEO t.timeout;
-     Unix.setsockopt_float sock Unix.SO_SNDTIMEO t.timeout
+     Unix.setsockopt_float sock Unix.SO_SNDTIMEO t.timeout;
+     Unix.setsockopt sock Unix.TCP_NODELAY true
    with Unix.Unix_error _ -> ());
   match Unix.connect sock addr with
   | () ->
       record_conn "new";
-      {
-        fd = sock;
-        ic = Unix.in_channel_of_descr sock;
-        oc = Unix.out_channel_of_descr sock;
-      }
+      { fd = sock; parser = Http.Parser.create () }
   | exception e ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
       raise e
+
+let rec write_all fd s off =
+  if off < String.length s then
+    write_all fd s
+      (off + Unix.write_substring fd s off (String.length s - off))
+
+(* Read into [c]'s parser until it frames a response. A rejection
+   (bad framing, or a head or body past the parser's limits) fails the
+   exchange like a transport error on a fresh connection. *)
+let rec read_reply t c =
+  match Http.Parser.next_response c.parser with
+  | `Response r -> r
+  | `Reject r -> failwith ("bad response: " ^ r.Http.Parser.reject_reason)
+  | `Partial ->
+      let n = Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) in
+      if n = 0 then raise End_of_file;
+      Http.Parser.feed c.parser t.rbuf 0 n;
+      read_reply t c
 
 let attempt t ep ~ctx ~meth ~path ~query ~body =
   match resolve_addr ep.host ep.port with
@@ -230,101 +239,47 @@ let attempt t ep ~ctx ~meth ~path ~query ~body =
               end
           | None -> fresh_conn t addr
         in
-        let exchange () =
-          let target =
-            if query = [] then path
-            else
-              path ^ "?"
-              ^ String.concat "&"
-                  (List.map
-                     (fun (k, v) -> percent_encode k ^ "=" ^ percent_encode v)
-                     query)
-          in
-          (* Cross-process trace propagation: the server joins this
-             operation's trace via [traceparent] and echoes/logs the
-             request id (DESIGN.md §11). The parent span is our
-             current span when tracing is on. *)
-          let traceparent =
-            Context.to_traceparent ?span:(Trace.current_id ()) ctx
-          in
-          sent := true;
-          output_string c.oc
-            (Printf.sprintf
-               "%s %s HTTP/1.1\r\nHost: %s\r\nConnection: %s\r\n\
-                Traceparent: %s\r\nX-Dsvc-Request-Id: %s\r\n\
-                Content-Length: %d\r\n\r\n%s"
-               meth target ep.host
-               (if t.keepalive then "keep-alive" else "close")
-               traceparent ctx.Context.request_id (String.length body) body);
-          flush c.oc;
-          (* Parse the status line, headers, and Content-Length body. *)
-          let line () =
-            match In_channel.input_line c.ic with
-            | None -> failwith "connection closed mid-response"
-            | Some l ->
-                if String.length l > 0 && l.[String.length l - 1] = '\r' then
-                  String.sub l 0 (String.length l - 1)
-                else l
-          in
-          let status_line = line () in
-          let status =
-            match String.split_on_char ' ' status_line with
-            | _ :: code :: _ -> (
-                match int_of_string_opt code with
-                | Some c -> c
-                | None -> failwith ("bad status line: " ^ status_line))
-            | _ -> failwith ("bad status line: " ^ status_line)
-          in
-          let content_length = ref None in
-          let server_closes = ref false in
-          let rec headers () =
-            let l = line () in
-            if l <> "" then begin
-              (match String.index_opt l ':' with
-              | Some i -> (
-                  let name = String.lowercase_ascii (String.sub l 0 i) in
-                  let value =
-                    String.trim (String.sub l (i + 1) (String.length l - i - 1))
-                  in
-                  match name with
-                  | "content-length" -> (
-                      (* The server refuses request bodies above the
-                         same limit, so no larger blob can replicate;
-                         reading one would only exhaust memory. *)
-                      let max = Http.Parser.default_limits.max_body_bytes in
-                      match Http.parse_content_length value with
-                      | Some len when len <= max -> content_length := Some len
-                      | Some _ ->
-                          failwith
-                            (Printf.sprintf "content-length %s above %d bytes"
-                               value max)
-                      | None -> failwith ("bad content-length: " ^ value))
-                  | "connection" ->
-                      if String.lowercase_ascii value = "close" then
-                        server_closes := true
-                  | _ -> ())
-              | None -> ());
-              headers ()
-            end
-          in
-          headers ();
-          let body =
-            match !content_length with
-            | Some len -> really_input_string c.ic len
-            | None -> In_channel.input_all c.ic
-          in
-          (* Reuse only when both sides committed to it and the body
-             was delimited (input_all just consumed to EOF). *)
-          let keep =
-            t.keepalive && (not !server_closes) && !content_length <> None
-          in
-          (status, body, keep)
+        let target =
+          if query = [] then path
+          else
+            path ^ "?"
+            ^ String.concat "&"
+                (List.map
+                   (fun (k, v) ->
+                     Http.percent_encode k ^ "=" ^ Http.percent_encode v)
+                   query)
         in
-        (match exchange () with
-        | status, body, keep ->
-            if keep then ep.cached <- Some c
+        (* Cross-process trace propagation: the server joins this
+           operation's trace via [traceparent] and echoes/logs the
+           request id (DESIGN.md §11). The parent span is our current
+           span when tracing is on. *)
+        let headers =
+          [
+            ("Host", ep.host);
+            ( "Traceparent",
+              Context.to_traceparent ?span:(Trace.current_id ()) ctx );
+            ("X-Dsvc-Request-Id", ctx.Context.request_id);
+          ]
+        in
+        sent := true;
+        (match
+           write_all c.fd
+             (Http.serialize_request_header ~keep_alive:t.keepalive ~meth
+                ~target headers ~content_length:(String.length body))
+             0;
+           write_all c.fd body 0;
+           read_reply t c
+         with
+        | { Http.reply_status; reply_headers; reply_body; reply_version } ->
+            (* Reuse only when both sides committed to it and the server
+               sent nothing past the response it framed. *)
+            if
+              t.keepalive
+              && Http.keep_alive ~version:reply_version reply_headers
+              && Http.Parser.buffered c.parser = 0
+            then ep.cached <- Some c
             else (try Unix.close c.fd with Unix.Unix_error _ -> ());
-            Ok (status, body)
+            Ok (reply_status, reply_body)
         | exception e ->
             (try Unix.close c.fd with Unix.Unix_error _ -> ());
             raise e)
@@ -334,20 +289,13 @@ let attempt t ep ~ctx ~meth ~path ~query ~body =
           failed ~meth ~sent:!sent ~reused:!reused
             ~transient:(transient_unix_error err) message
             ("reused connection failed: " ^ message)
-      | Failure e | Sys_error e ->
+      | Failure e ->
           failed ~meth ~sent:!sent ~reused:!reused ~transient:true e
             ("reused connection failed: " ^ e)
       | End_of_file ->
           failed ~meth ~sent:!sent ~reused:!reused ~transient:true
             "unexpected end of response"
-            "reused connection closed mid-response"
-      | Sys_blocked_io ->
-          (* SO_RCVTIMEO expiring under a buffered channel read raises
-             Sys_blocked_io, not Unix_error EAGAIN — same transport
-             timeout, same mapping (a raw exception here would crash
-             the failover path instead of trying the next node) *)
-          failed ~meth ~sent:!sent ~reused:!reused ~transient:true
-            "response timed out" "reused connection timed out mid-response")
+            "reused connection closed mid-response")
 
 (* One endpoint's share of a request: up to [attempts] attempts with
    backoff, then the per-status counter. *)
@@ -514,13 +462,12 @@ let diff t a b = expect_ok t ~meth:"GET" ~path:(path_of [ "diff"; a; b ]) ()
 let unit_post t path query =
   Result.map (fun _ -> ()) (expect_ok t ~meth:"POST" ~path ~query ())
 
-let tag t name ?at () =
-  unit_post t (path_of [ "tag"; name ])
-    (match at with Some v -> [ ("at", string_of_int v) ] | None -> [])
+let at_query = function Some v -> [ ("at", string_of_int v) ] | None -> []
+
+let tag t name ?at () = unit_post t (path_of [ "tag"; name ]) (at_query at)
 
 let branch t name ?at () =
-  unit_post t (path_of [ "branch"; name ])
-    (match at with Some v -> [ ("at", string_of_int v) ] | None -> [])
+  unit_post t (path_of [ "branch"; name ]) (at_query at)
 
 let switch t name = unit_post t (path_of [ "switch"; name ]) []
 

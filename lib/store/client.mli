@@ -10,6 +10,12 @@
     [Error] with the server's message. A client is safe to share
     between threads — requests serialize on an internal lock.
 
+    Framing is {!Http}'s, as on the server, with its bounds: a
+    response that {!Http.Parser} rejects (no, a repeated or a bad
+    Content-Length, a header line without a colon, a head past 16 KiB,
+    a body past 64 MiB) is an [Io] error. A connection is kept only
+    when both sides keep it alive and nothing follows the body.
+
     Resilience: sockets carry send/receive timeouts; transient
     transport failures (connection refused/reset, timeouts) are
     retried with exponential backoff and jitter ({!Versioning_util.Retry}).

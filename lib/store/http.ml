@@ -14,6 +14,13 @@ type response = {
   body : string;
 }
 
+type reply = {
+  reply_status : int;
+  reply_headers : (string * string) list;
+  reply_body : string;
+  reply_version : string;
+}
+
 let status_text = function
   | 200 -> "OK"
   | 201 -> "Created"
@@ -33,12 +40,24 @@ let ok ?(content_type = "text/plain; charset=utf-8") ?(headers = []) body =
 let error status body =
   { status; content_type = "text/plain; charset=utf-8"; headers = []; body }
 
-(* ---- percent decoding --------------------------------------------
+(* ---- percent coding ----------------------------------------------
 
+   One encoder, whose output reads the same in a path and a query.
    Two deliberately distinct decoders: "+" means space only inside
    query strings (application/x-www-form-urlencoded); in a request
    *path* a literal "+" is just a plus — a blob digest or version
    name containing one must survive the round trip. *)
+
+let percent_encode s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '-' | '_' | '.' | '~' ->
+          Buffer.add_char buf c
+      | c -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
+    s;
+  Buffer.contents buf
 
 let hex_val c =
   match c with
@@ -83,14 +102,26 @@ let parse_query q =
            | None ->
                if kv = "" then None else Some (percent_decode_query kv, ""))
 
-(* ---- request-line / header parsing ------------------------------- *)
+(* ---- start-line / header parsing -------------------------------- *)
 
+let digits s =
+  s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s
+
+(* A start line's three fields: method, target, version for a request;
+   version, status and an unused third for a response. *)
 let parse_request_line line =
   match String.split_on_char ' ' line with
-  | [ m; t; version ]
-    when String.length version >= 5 && String.sub version 0 5 = "HTTP/" ->
+  | [ m; t; version ] when String.starts_with ~prefix:"HTTP/" version ->
       Ok (String.uppercase_ascii m, t, version)
   | _ -> Error ("malformed request line: " ^ line)
+
+let parse_status_line line =
+  match String.split_on_char ' ' line with
+  | version :: code :: _
+    when String.starts_with ~prefix:"HTTP/" version
+         && String.length code = 3 && digits code ->
+      Ok (version, code, "")
+  | _ -> Error ("malformed status line: " ^ line)
 
 let parse_header_line line =
   match String.index_opt line ':' with
@@ -114,48 +145,49 @@ let split_target target =
    would also take a sign, [_] separators and 0x/0o/0b prefixes. *)
 let parse_content_length v =
   let v = String.trim v in
-  if v <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) v
-  then int_of_string_opt v
-  else None
+  if digits v then int_of_string_opt v else None
 
-(* Request-smuggling hygiene: a request whose framing is ambiguous is
+(* Request-smuggling hygiene: a message whose framing is ambiguous is
    rejected outright. More than one Content-Length header — or one
    header carrying a list — never has an innocent explanation
    (RFC 9112 §6.3). The status distinguishes "you sent garbage" (400)
-   from "you sent more than this server accepts" (413). *)
+   from "you sent more than this end accepts" (413). [None]: no
+   Content-Length at all. *)
 let content_length_of_headers ~max_body headers =
   match
     List.filter_map
       (fun (name, v) -> if name = "content-length" then Some v else None)
       headers
   with
-  | [] -> Ok 0
+  | [] -> Ok None
   | [ v ] -> (
       if String.contains v ',' then
         Error (400, "conflicting content-length values")
       else
         match parse_content_length v with
         | Some len ->
-            if len <= max_body then Ok len else Error (413, "body too large")
+            if len <= max_body then Ok (Some len)
+            else Error (413, "body too large")
         | None -> Error (400, "bad content-length"))
   | _ :: _ -> Error (400, "duplicate content-length header")
 
-let keep_alive (req : request) =
+let keep_alive ~version headers =
   match
-    Option.map String.lowercase_ascii (List.assoc_opt "connection" req.headers)
+    Option.map String.lowercase_ascii (List.assoc_opt "connection" headers)
   with
   | Some "close" -> false
   | Some v when String.trim v = "keep-alive" -> true
-  | Some _ | None -> req.version <> "HTTP/1.0"
+  | Some _ | None -> version <> "HTTP/1.0"
 
 (* ---- incremental parser ------------------------------------------
 
-   The event loop's per-connection state machine: bytes in via [feed],
-   framed requests out via [next]. Bounded on both axes — the header
-   block by [max_header_bytes], the body by [max_body_bytes] — so a
-   hostile or broken peer cannot grow the buffer without limit.
-   Pipelining falls out naturally: leftover bytes after one request
-   are the start of the next. *)
+   Each connection's framing state machine, for either direction:
+   bytes in via [feed], framed requests out via [next] or responses
+   via [next_response]. Bounded on both axes — the header block by
+   [max_header_bytes], the body by [max_body_bytes] — so a hostile or
+   broken peer cannot grow the buffer without limit. Pipelining falls
+   out naturally: leftover bytes after one message are the start of
+   the next. *)
 module Parser = struct
   type limits = { max_header_bytes : int; max_body_bytes : int }
 
@@ -164,13 +196,10 @@ module Parser = struct
 
   type reject = { reject_status : int; reject_reason : string }
 
-  (* What we know mid-request once the header block has been parsed. *)
+  (* What we know mid-message once the header block has been parsed. *)
   type pending = {
-    p_meth : string;
-    p_path : string;
-    p_query : (string * string) list;
+    p_start : string * string * string;
     p_headers : (string * string) list;
-    p_version : string;
     p_body_len : int;
   }
 
@@ -206,30 +235,26 @@ module Parser = struct
     | Rejected _ -> false
     | Idle -> buffered t > 0
 
+  (* Room for [extra] more bytes: slide the live bytes to the front,
+     and grow when they still do not fit — doubling, but not past the
+     body a parsed head announces (a 64 MiB body gets 64 MiB, not 128). *)
   let ensure_capacity t extra =
     let len = Bytes.length t.buf in
-    if t.fill + extra <= len then ()
-    else begin
+    if t.fill + extra > len then begin
       let used = buffered t in
-      if used + extra <= len then begin
-        (* compact: slide live bytes to the front *)
-        Bytes.blit t.buf t.start t.buf 0 used;
-        t.scanned <- t.scanned - t.start;
-        t.start <- 0;
-        t.fill <- used
-      end
-      else begin
-        let cap = ref (len * 2) in
-        while used + extra > !cap do
-          cap := !cap * 2
-        done;
-        let nbuf = Bytes.create !cap in
-        Bytes.blit t.buf t.start nbuf 0 used;
-        t.buf <- nbuf;
-        t.scanned <- t.scanned - t.start;
-        t.start <- 0;
-        t.fill <- used
-      end
+      let buf =
+        if used + extra <= len then t.buf
+        else
+          let ceiling =
+            match t.state with In_body p -> p.p_body_len | _ -> max_int
+          in
+          Bytes.create (max (used + extra) (min (2 * len) ceiling))
+      in
+      Bytes.blit t.buf t.start buf 0 used;
+      t.buf <- buf;
+      t.scanned <- t.scanned - t.start;
+      t.start <- 0;
+      t.fill <- used
     end
 
   let feed t src off len =
@@ -262,52 +287,46 @@ module Parser = struct
     t.scanned <- (if !found >= 0 then !found else max t.start (t.fill - 3));
     !found
 
-  let parse_header_block t hend =
+  (* Consume the head ending at [hend]. A response must carry a
+     Content-Length: read to end of file, its body would escape
+     [max_body_bytes]. *)
+  let parse_head t hend ~response =
     let text = Bytes.sub_string t.buf t.start (hend - t.start) in
     t.start <- hend + 4;
     t.scanned <- t.start;
-    match String.split_on_char '\n' text with
-    | [] -> Error (400, "empty request")
-    | first :: rest -> (
-        let strip l =
-          if String.length l > 0 && l.[String.length l - 1] = '\r' then
-            String.sub l 0 (String.length l - 1)
-          else l
-        in
-        match parse_request_line (strip first) with
-        | Error e -> Error (400, e)
-        | Ok (meth, target, version) -> (
-            let rec headers acc = function
-              | [] -> Ok (List.rev acc)
-              | l :: tl -> (
-                  let l = strip l in
-                  if l = "" then headers acc tl
-                  else
-                    match parse_header_line l with
-                    | Ok kv -> headers (kv :: acc) tl
-                    | Error e -> Error (400, e))
-            in
-            match headers [] rest with
-            | Error e -> Error e
-            | Ok hs -> (
-                match
-                  content_length_of_headers
-                    ~max_body:t.limits.max_body_bytes hs
-                with
-                | Error e -> Error e
-                | Ok body_len ->
-                    let path, query = split_target target in
-                    Ok
-                      {
-                        p_meth = meth;
-                        p_path = path;
-                        p_query = query;
-                        p_headers = hs;
-                        p_version = version;
-                        p_body_len = body_len;
-                      })))
+    let strip l =
+      if String.length l > 0 && l.[String.length l - 1] = '\r' then
+        String.sub l 0 (String.length l - 1)
+      else l
+    in
+    let first, rest =
+      match List.map strip (String.split_on_char '\n' text) with
+      | first :: rest -> (first, rest)
+      | [] -> ("", [])
+    in
+    let rec headers acc = function
+      | [] -> Ok (List.rev acc)
+      | "" :: tl -> headers acc tl
+      | l :: tl -> (
+          match parse_header_line l with
+          | Ok kv -> headers (kv :: acc) tl
+          | Error e -> Error (400, e))
+    in
+    let ( let* ) = Result.bind in
+    let* p_start =
+      Result.map_error
+        (fun e -> (400, e))
+        ((if response then parse_status_line else parse_request_line) first)
+    in
+    let* p_headers = headers [] rest in
+    match
+      content_length_of_headers ~max_body:t.limits.max_body_bytes p_headers
+    with
+    | Ok None when response -> Error (400, "response without content-length")
+    | Ok len -> Ok { p_start; p_headers; p_body_len = Option.value len ~default:0 }
+    | Error e -> Error e
 
-  let request_of_pending t p =
+  let take_body t p =
     let body = Bytes.sub_string t.buf t.start p.p_body_len in
     t.start <- t.start + p.p_body_len;
     t.scanned <- t.start;
@@ -315,25 +334,20 @@ module Parser = struct
     if buffered t = 0 then begin
       t.start <- 0;
       t.fill <- 0;
-      t.scanned <- 0
+      t.scanned <- 0;
+      (* an idle connection does not keep a large body's buffer *)
+      if Bytes.length t.buf > 65536 then t.buf <- Bytes.create 4096
     end;
-    {
-      meth = p.p_meth;
-      path = p.p_path;
-      query = p.p_query;
-      headers = p.p_headers;
-      body;
-      version = p.p_version;
-    }
+    body
 
-  (* Pull the next complete request out of the buffer. [`Partial]
-     means "feed me more"; [`Reject] is sticky — the connection is
-     beyond saving once framing is ambiguous. *)
-  let rec next t =
+  (* Frame the next complete message. [`Partial] means "feed me
+     more"; [`Reject] is sticky — the connection is beyond saving
+     once framing is ambiguous. *)
+  let rec frame t ~response =
     match t.state with
     | Rejected r -> `Reject r
     | In_body p ->
-        if buffered t >= p.p_body_len then `Request (request_of_pending t p)
+        if buffered t >= p.p_body_len then `Message (p, take_body t p)
         else `Partial
     | Idle | In_headers -> (
         if buffered t = 0 then `Partial
@@ -347,37 +361,63 @@ module Parser = struct
           else if hend - t.start > t.limits.max_header_bytes then
             reject t 413 "header block too large"
           else
-            match parse_header_block t hend with
+            match parse_head t hend ~response with
             | Error (status, reason) -> reject t status reason
             | Ok p ->
                 t.state <- In_body p;
-                next t
+                frame t ~response
         end)
+
+  let next t =
+    match frame t ~response:false with
+    | `Message ({ p_start = meth, target, version; p_headers = headers; _ }, body)
+      ->
+        let path, query = split_target target in
+        `Request { meth; path; query; headers; body; version }
+    | (`Partial | `Reject _) as v -> v
+
+  let next_response t =
+    match frame t ~response:true with
+    | `Message ({ p_start = version, code, _; p_headers; _ }, body) ->
+        `Response
+          {
+            reply_status = int_of_string code;
+            reply_headers = p_headers;
+            reply_body = body;
+            reply_version = version;
+          }
+    | (`Partial | `Reject _) as v -> v
 end
 
-(* A header value must not smuggle CR/LF into the response framing,
-   whatever the handler put in it. *)
+(* A header value must not smuggle CR/LF into the framing, whatever
+   the handler or caller put in it. *)
 let sanitize_header_value v =
   String.map (function '\r' | '\n' -> ' ' | c -> c) v
 
-(* The serialized status line + headers, terminated by CRLFCRLF; the
-   body travels separately, so the writer can hand header and body
-   slices to writev together. *)
+(* A start line, the headers, Content-Length and Connection, then the
+   blank line. The body travels separately, so the writer can hand
+   head and body to writev, or write them in turn, without
+   concatenating them. *)
+let serialize_head start headers ~content_length ~keep_alive =
+  let field (name, value) =
+    Printf.sprintf "%s: %s\r\n" (sanitize_header_value name)
+      (sanitize_header_value value)
+  in
+  String.concat ""
+    ((start ^ "\r\n") :: List.map field headers
+    @ [
+        Printf.sprintf "Content-Length: %d\r\nConnection: %s\r\n\r\n"
+          content_length
+          (if keep_alive then "keep-alive" else "close");
+      ])
+
 let serialize_header ?(keep_alive = false) resp =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" resp.status (status_text resp.status));
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Type: %s\r\n" resp.content_type);
-  List.iter
-    (fun (name, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s: %s\r\n" (sanitize_header_value name)
-           (sanitize_header_value value)))
-    resp.headers;
-  Buffer.add_string buf
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length resp.body));
-  Buffer.add_string buf
-    (if keep_alive then "Connection: keep-alive\r\n\r\n"
-     else "Connection: close\r\n\r\n");
-  Buffer.contents buf
+  serialize_head
+    (Printf.sprintf "HTTP/1.1 %d %s" resp.status (status_text resp.status))
+    (("Content-Type", resp.content_type) :: resp.headers)
+    ~content_length:(String.length resp.body) ~keep_alive
+
+let serialize_request_header ~keep_alive ~meth ~target headers ~content_length =
+  serialize_head
+    (Printf.sprintf "%s %s HTTP/1.1" meth target)
+    headers ~content_length ~keep_alive

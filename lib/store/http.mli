@@ -1,12 +1,13 @@
 (** HTTP/1.1 framing for the store's client–server mode.
 
     The paper's prototype serves version operations "in a client-server
-    model over HTTP" (§5); this module supplies the protocol layer for
-    that: incremental request parsing, response serialization, and
-    percent-decoding. Requests and responses are always Content-Length
-    framed, with the whole body in memory — no chunked encoding, no
-    TLS. The event-driven connection handling lives in {!Server}; see
-    DESIGN.md §13. *)
+    model over HTTP" (§5); this module is the one codec both ends use:
+    incremental parsing of requests (the server) and responses (the
+    {!Client}) under one set of limits and framing rules, a serializer
+    per direction, and percent-coding. Messages are always
+    Content-Length framed, with the whole body in memory — no chunked
+    encoding, no TLS. The event-driven connection handling lives in
+    {!Server}; see DESIGN.md §13. *)
 
 type request = {
   meth : string;  (** "GET", "POST", … (upper-cased) *)
@@ -28,6 +29,14 @@ type response = {
   body : string;
 }
 
+(** A response as a client reads it; header names lower-cased. *)
+type reply = {
+  reply_status : int;
+  reply_headers : (string * string) list;
+  reply_body : string;
+  reply_version : string;
+}
+
 val ok : ?content_type:string -> ?headers:(string * string) list -> string -> response
 (** 200 with [text/plain] and no extra headers by default. *)
 
@@ -37,10 +46,20 @@ val serialize_header : ?keep_alive:bool -> response -> string
 (** Status line + headers + CRLFCRLF; Content-Length is the length of
     [body], Connection from [keep_alive] (default close). *)
 
-val keep_alive : request -> bool
-(** Whether the connection persists after this request: HTTP/1.1
-    defaults to yes unless [Connection: close]; HTTP/1.0 to no unless
-    [Connection: keep-alive]. *)
+val serialize_request_header : keep_alive:bool -> meth:string ->
+  target:string -> (string * string) list -> content_length:int -> string
+(** Request line + headers + CRLFCRLF, as {!serialize_header}; the
+    caller writes the [content_length]-byte body after it. [target]
+    goes on the wire as given (already percent-encoded). *)
+
+val keep_alive : version:string -> (string * string) list -> bool
+(** Whether the connection persists after a message (either
+    direction): HTTP/1.1 defaults to yes unless [Connection: close];
+    HTTP/1.0 to no unless [Connection: keep-alive]. *)
+
+val percent_encode : string -> string
+(** [%XX] for every byte outside RFC 3986's unreserved set: one path
+    segment, query key or value, undone by either decoder below. *)
 
 val percent_decode : string -> string
 (** Decode [%XX] escapes. ["+"] is preserved — in a request path a
@@ -50,23 +69,17 @@ val percent_decode_query : string -> string
 (** Query-string decoding: [%XX] escapes and ["+"] as space
     (application/x-www-form-urlencoded). *)
 
-val parse_query : string -> (string * string) list
-
-val status_text : int -> string
-
-val parse_content_length : string -> int option
-(** A Content-Length value: [Some n] only for decimal digits (RFC 9110
-    [1*DIGIT], surrounding whitespace ignored) that fit an [int]. Signs,
-    [_] separators and [0x]/[0o]/[0b] prefixes are [None]. *)
-
-(** Incremental request parser — the per-connection state machine of
-    the event loop. Feed raw bytes as they arrive; pull complete
-    requests out. Bounded: the header block by [max_header_bytes]
-    (reject 413), the body by [max_body_bytes] (413), ambiguous
-    framing by rejection (400). Rejections are sticky — after one,
-    the connection is beyond saving (close after the error
-    response). Leftover bytes after a request are the start of the
-    next, which is exactly pipelining. *)
+(** Incremental parser — a connection's framing state machine, for
+    requests ({!next}, the server) or responses ({!next_response}, the
+    client). Feed raw bytes as they arrive; pull complete messages
+    out. Both directions share the limits and rules: the header block
+    is bounded by [max_header_bytes] (reject 413), the body by
+    [max_body_bytes] (413); a malformed start line, a header line
+    without a colon, or a repeated, list-valued or non-decimal
+    Content-Length is a 400. A response without a Content-Length is a
+    400 too — read to end of file it would escape the body bound.
+    Rejections are sticky — the connection is beyond saving. Leftover
+    bytes after a message are the start of the next (pipelining). *)
 module Parser : sig
   type limits = { max_header_bytes : int; max_body_bytes : int }
 
@@ -88,10 +101,14 @@ module Parser : sig
   (** Pull the next complete request. Call repeatedly until
       [`Partial] — several pipelined requests may be buffered. *)
 
+  val next_response : t -> [ `Response of reply | `Partial | `Reject of reject ]
+  (** Pull the next complete response, as {!next} does requests. *)
+
   val in_request : t -> bool
   (** Holding bytes of an unfinished request? Decides whether a read
       timeout is a 408 or a silent idle close. *)
 
   val buffered : t -> int
-  (** Bytes currently buffered (diagnostics/backpressure). *)
+  (** Bytes currently buffered; after a message, bytes the peer sent
+      past it. *)
 end

@@ -1060,7 +1060,7 @@ let serve ?cluster repo ~port ?(host = "127.0.0.1") ?max_requests
         && not (Queue.is_empty conn.c_pending)
       then begin
         let req = Queue.pop conn.c_pending in
-        let keep = Http.keep_alive req in
+        let keep = Http.keep_alive ~version:req.version req.headers in
         conn.c_busy <- true;
         conn.c_last_activity <- Unix.gettimeofday ();
         let matched = lookup req in

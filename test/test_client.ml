@@ -196,8 +196,6 @@ let test_reserved_ref_names () =
       | Ok (status, _) -> Alcotest.failf "/tags: HTTP %d" status
       | Error e -> Alcotest.failf "/tags: %s" e)
 
-(* A server that answers exactly one connection with [response]: it
-   reads the request head (the client sends no body), writes, closes. *)
 (* A TCP socket bound to an ephemeral loopback port, and the port. *)
 let bind_ephemeral () =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -206,53 +204,95 @@ let bind_ephemeral () =
   | Unix.ADDR_INET (_, port) -> (sock, port)
   | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
 
-let with_fake_server response k =
+(* A server that answers each connection it accepts with the next of
+   [responses]: it reads the request head (the client sends no body)
+   and writes. It holds every connection open until it has answered
+   them all, or until 2 s pass with no new connection, then closes. *)
+let with_fake_server responses k =
   let sock, port = bind_ephemeral () in
-  Unix.listen sock 1;
-  let serve () =
-    let fd, _ = Unix.accept sock in
-    let buf = Bytes.create 4096 in
-    let rec read_head seen =
-      let n = Unix.read fd buf 0 (Bytes.length buf) in
-      let seen = seen ^ Bytes.sub_string buf 0 n in
-      let l = String.length seen in
-      if n > 0 && not (l >= 4 && String.sub seen (l - 4) 4 = "\r\n\r\n") then
-        read_head seen
-    in
-    read_head "";
-    ignore (Unix.write_substring fd response 0 (String.length response));
-    Unix.close fd
+  Unix.listen sock 4;
+  let buf = Bytes.create 4096 in
+  let rec read_head fd seen =
+    let n = Unix.read fd buf 0 (Bytes.length buf) in
+    let seen = seen ^ Bytes.sub_string buf 0 n in
+    let l = String.length seen in
+    if n > 0 && not (l >= 4 && String.sub seen (l - 4) 4 = "\r\n\r\n") then
+      read_head fd seen
   in
-  let server = Thread.create serve () in
+  let rec serve opened = function
+    | [] -> opened
+    | response :: rest -> (
+        match Unix.select [ sock ] [] [] 2.0 with
+        | [], _, _ -> opened
+        | _ ->
+            let fd, _ = Unix.accept sock in
+            read_head fd "";
+            ignore (Unix.write_substring fd response 0 (String.length response));
+            serve (fd :: opened) rest)
+  in
+  let server =
+    Thread.create (fun () -> List.iter Unix.close (serve [] responses)) ()
+  in
   Fun.protect
     ~finally:(fun () ->
       Thread.join server;
       Unix.close sock)
     (fun () -> k port)
 
-(* A response's Content-Length must be decimal digits no larger than
-   the body limit: a negative or huge one used to escape [request] as
-   Invalid_argument, a hex one was obeyed. *)
+(* A response must be framed as the server frames a request: one
+   Content-Length of decimal digits no larger than the body limit,
+   header lines with a colon, a head within 16 KiB. Anything else is an
+   [Io] error, never an exception, a read to end of file or a guess. *)
 let test_bad_response_content_length () =
+  let framed cl body =
+    Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" cl body
+  in
   List.iter
-    (fun (cl, body) ->
-      with_fake_server
-        (Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" cl
-           body)
-      @@ fun port ->
+    (fun (label, response) ->
+      with_fake_server [ response ] @@ fun port ->
       let client = Client.connect ~retries:1 ~host:"127.0.0.1" ~port () in
       match Client.request_detailed client ~meth:"GET" ~path:"/stats" () with
-      | Ok (status, _) ->
-          Alcotest.failf "Content-Length %s accepted (HTTP %d)" cl status
+      | Ok (status, _) -> Alcotest.failf "%s accepted (HTTP %d)" label status
       | Error e ->
-          Alcotest.(check bool) ("Io error for " ^ cl) true
+          Alcotest.(check bool) ("Io error for " ^ label) true
             (e.Client.kind = Client.Io))
     [
-      ("-1", "");
-      ("0x10", "0123456789abcdef");
-      ("4611686018427387903", "");
-      (string_of_int (Http.Parser.default_limits.max_body_bytes + 1), "");
+      ("-1", framed "-1" "");
+      ("0x10", framed "0x10" "0123456789abcdef");
+      ("4611686018427387903", framed "4611686018427387903" "");
+      ( "above the body limit",
+        framed
+          (string_of_int (Http.Parser.default_limits.max_body_bytes + 1))
+          "" );
+      ( "repeated Content-Length",
+        "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello"
+      );
+      ( "header line without a colon",
+        "HTTP/1.1 200 OK\r\nbadheader\r\nContent-Length: 2\r\n\r\nok" );
+      ("no Content-Length", "HTTP/1.1 200 OK\r\n\r\nok");
+      ( "a header line over 16 KiB",
+        "HTTP/1.1 200 OK\r\nX-Long: " ^ String.make (17 * 1024) 'a'
+        ^ "\r\nContent-Length: 2\r\n\r\nok" );
     ]
+
+(* Bytes after the framed body mean the stream is out of step with the
+   responses: the connection is not reused even though the server
+   keeps it open. The fake server answers each connection once, so a
+   second answer proves the second request opened a new connection. *)
+let test_trailing_bytes_reconnect () =
+  let reply = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok" in
+  with_fake_server [ reply ^ "junk"; reply ] @@ fun port ->
+  let client =
+    Client.connect ~timeout:1.0 ~retries:1 ~host:"127.0.0.1" ~port ()
+  in
+  List.iter
+    (fun n ->
+      match Client.request client ~meth:"GET" ~path:"/stats" () with
+      | Ok (200, "ok") -> ()
+      | Ok (status, body) -> Alcotest.failf "request %d: %d %S" n status body
+      | Error e -> Alcotest.failf "request %d: %s" n e)
+    [ 1; 2 ];
+  Client.close client
 
 (* A failover client escapes ref names like a one-endpoint client: a
    ref name that needs escaping reaches the route it names. *)
@@ -285,7 +325,7 @@ let test_ping_keeps_its_connection () =
    again once an unrelated file has taken it. *)
 let test_failed_ping_closes_only_its_socket () =
   let client =
-    with_fake_server "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    with_fake_server [ "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok" ]
     @@ fun port ->
     let client = Client.connect ~retries:1 ~host:"127.0.0.1" ~port () in
     (match Client.request client ~meth:"GET" ~path:"/health" () with
@@ -429,6 +469,8 @@ let suite =
       test_post_not_retried_after_send;
     Alcotest.test_case "bad response content-length" `Quick
       test_bad_response_content_length;
+    Alcotest.test_case "bytes after the body reconnect" `Quick
+      test_trailing_bytes_reconnect;
     Alcotest.test_case "request counters by status" `Quick
       test_request_counters_by_status;
     Alcotest.test_case "cluster client encodes ref names" `Quick

@@ -45,12 +45,17 @@ let arbitrary_bytes = QCheck.string_gen QCheck.Gen.char
 let qcheck_path_roundtrip =
   QCheck.Test.make ~count:1000 ~name:"percent path encode/decode roundtrip"
     arbitrary_bytes
-    (fun s -> Http.percent_decode (percent_encode s) = s)
+    (fun s ->
+      Http.percent_decode (percent_encode s) = s
+      && Http.percent_encode s = percent_encode s
+      && Http.percent_decode (Http.percent_encode s) = s)
 
 let qcheck_query_roundtrip =
   QCheck.Test.make ~count:1000 ~name:"percent query encode/decode roundtrip"
     arbitrary_bytes
-    (fun s -> Http.percent_decode_query (percent_encode ~space_plus:true s) = s)
+    (fun s ->
+      Http.percent_decode_query (percent_encode ~space_plus:true s) = s
+      && Http.percent_decode_query (Http.percent_encode s) = s)
 
 (* Decoding arbitrary (possibly malformed) input never raises and
    never grows the string — malformed escapes pass through. *)
@@ -186,6 +191,43 @@ let test_parser_content_length_hygiene () =
            ("POST /x HTTP/1.1\r\nContent-Length: " ^ v
           ^ "\r\n\r\n0123456789abcdef")))
     [ "0x10"; "+16"; "1_6"; "0o20"; "0b10000"; "-0" ]
+
+(* The response direction shares the request side's framing: two
+   pipelined responses come out in order, with their status, headers
+   and version; a response must carry a Content-Length. *)
+let test_parser_responses () =
+  let p = Http.Parser.create () in
+  Http.Parser.feed_string p
+    ("HTTP/1.1 404 Not Found\r\nContent-Length: 3\r\n\r\nno\n"
+   ^ "HTTP/1.0 200\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok");
+  (match Http.Parser.next_response p with
+  | `Response r ->
+      Alcotest.(check int) "status" 404 r.Http.reply_status;
+      Alcotest.(check string) "body" "no\n" r.Http.reply_body;
+      Alcotest.(check bool) "1.1 keeps alive" true
+        (Http.keep_alive ~version:r.Http.reply_version r.Http.reply_headers)
+  | _ -> Alcotest.fail "first response");
+  (match Http.Parser.next_response p with
+  | `Response r ->
+      Alcotest.(check int) "status without reason" 200 r.Http.reply_status;
+      Alcotest.(check bool) "close honoured" false
+        (Http.keep_alive ~version:r.Http.reply_version r.Http.reply_headers)
+  | _ -> Alcotest.fail "second response");
+  Alcotest.(check int) "no leftover bytes" 0 (Http.Parser.buffered p);
+  List.iter
+    (fun s ->
+      let p = Http.Parser.create () in
+      Http.Parser.feed_string p s;
+      match Http.Parser.next_response p with
+      | `Reject r ->
+          Alcotest.(check int) ("400 for " ^ String.escaped s) 400
+            r.Http.Parser.reject_status
+      | _ -> Alcotest.failf "accepted %S" s)
+    [
+      "HTTP/1.1 200 OK\r\n\r\nbody until EOF";
+      "HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n";
+      "GET / HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+    ]
 
 (* ---- socket plumbing ---- *)
 
@@ -513,6 +555,7 @@ let suite =
     Alcotest.test_case "parser size limits" `Quick test_parser_limits;
     Alcotest.test_case "parser content-length hygiene" `Quick
       test_parser_content_length_hygiene;
+    Alcotest.test_case "parser frames responses" `Quick test_parser_responses;
     Alcotest.test_case "keep-alive then close" `Quick test_keepalive_then_close;
     Alcotest.test_case "pipelining over a socket" `Quick test_socket_pipelining;
     Alcotest.test_case "pipelining past the request queue" `Quick

@@ -181,6 +181,36 @@ let test_route_table () =
   Alcotest.(check bool) "a raw '/' is an extra segment" true
     (Server.classify (mk_request "/checkout/release/1.0") = None)
 
+(* Every route is in server.mli's route list as [METH TEMPLATE] or
+   [METH TEMPLATE?query], so the documented list cannot drift from
+   the table. *)
+let test_routes_documented () =
+  let mli =
+    match
+      List.find_opt Sys.file_exists
+        [ "../lib/store/server.mli"; "lib/store/server.mli" ]
+    with
+    | Some path -> In_channel.with_open_bin path In_channel.input_all
+    | None -> Alcotest.fail "lib/store/server.mli not found"
+  in
+  let find_sub hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i =
+      if i + nn > nh then None
+      else if String.sub hay i nn = needle then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let header = String.sub mli 0 (Option.get (find_sub mli "*)")) in
+  List.iter
+    (fun (meth, template, _) ->
+      let entry = "[" ^ meth ^ " " ^ template in
+      Alcotest.(check bool) (entry ^ "] documented") true
+        (find_sub header (entry ^ "]") <> None
+        || find_sub header (entry ^ "?") <> None))
+    Server.routes
+
 (* Ref names with characters that are reserved in a URL path, sent
    percent-encoded the way Client sends them. *)
 let encode_ref name =
@@ -1056,6 +1086,7 @@ let suite =
     Alcotest.test_case "route branches/tags/diff" `Quick
       test_route_branches_tags_diff;
     Alcotest.test_case "route table" `Quick test_route_table;
+    Alcotest.test_case "route list documented" `Quick test_routes_documented;
     Alcotest.test_case "strategy print/parse roundtrip" `Quick
       test_strategy_roundtrip;
     Alcotest.test_case "reserved characters in ref names" `Quick
